@@ -2,7 +2,7 @@
 Fokas-Lenells system via determinant-form Darboux transformations, with
 built-in residual verification and figure-style rendering."""
 
-from .dt_engine import (DtConfig, FieldSample, OmegaSystem, assemble_system,
+from .dt_engine import (DtConfig, FieldSample, assemble_system,
                         companion_triplet, evaluate_solution, solution_sampler)
 from .errors import (ConfigError, DegenerateSpectrumError, FlwaveError,
                      JetDomainError, JetOrderError, NotCriticalError,
@@ -13,7 +13,7 @@ from .grid_render import (FieldGrid, evaluate_grid, export_field,
 from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,
                     SeedBackground, ZeroBackground, background_field,
                     dispersion_relation, plane_wave_field, profile_eval)
-from .numerics import Jet, SquareMatrix, det, det_with_exponent
+from .numerics import Jet, SquareMatrix, det, det_with_exponent, solve
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
                        ZeroSeedChart, breather_eigenfunction, critical_lambda,
                        discriminant_S, rogue_R, rogue_eigenfunction_jet,

@@ -1,31 +1,30 @@
-"""Assembly of the Omega-determinant systems and field evaluation.
+"""Assembly of the Omega system and field evaluation.
 
 Each chart contributes 3(h+1) rows: the eigenfunction row, its two
 conjugate companion rows, and that block repeated for every derivative
 order up to the multiplicity.  Derivative rows are jet coefficients of
 the whole entry lambda^m * phi, so the power and the eigenfunction are
 differentiated together.  The transformed fields are the seed plus the
-two determinant ratios.
+two determinant ratios det Omega_2 / det Omega_1 and det Omega_3 /
+det Omega_1.  Omega_2 and Omega_3 are Omega_1 with column 3N-2 or 3N-1
+replaced by one vector r, so by Cramer's rule the ratios are entries
+3N-2 and 3N-1 of the solution z of Omega_1 z = r: one refined solve per
+point gives both.
 """
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConfigError, SingularPointError, TruncationError
+from .errors import (ConfigError, OverflowRangeError, SingularPointError,
+                     TruncationError)
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, background_field)
-from .numerics import Jet, SquareMatrix, det_with_exponent, jet_div, jet_mul
+from .numerics import Jet, SquareMatrix, jet_div, jet_mul, solve
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
                        ZeroSeedChart, breather_eigenfunction,
                        rogue_eigenfunction_jet, zero_seed_eigenfunction)
-
-# ratios are meaningless once |det Omega_1| drops below this: the point is
-# reported as a gap instead of a value
-DET_FLOOR = 1e-300
-_LOG2_FLOOR = math.log2(DET_FLOOR)
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
@@ -55,13 +54,6 @@ class DtConfig:
     @property
     def folds(self) -> int:
         return sum(1 + c.multiplicity for c in self.charts)
-
-
-@dataclass(frozen=True)
-class OmegaSystem:
-    omega1: SquareMatrix
-    omega2: SquareMatrix
-    omega3: SquareMatrix
 
 
 @dataclass(frozen=True)
@@ -105,20 +97,21 @@ def _power_jets(lam: complex, order: int, power: int, n_folds: int):
     return pows
 
 
-def assemble_system(config: DtConfig, triples) -> OmegaSystem:
-    """Build Omega_1..Omega_3 from per-chart eigenfunction jets.
+def assemble_system(config: DtConfig, triples):
+    """Build (Omega_1, r) from per-chart eigenfunction jets.
 
     Column ladder: phi1 columns at lambda exponents N, N-2, ..., -(N-2) and
     (phi2, phi3) pairs at N-1, N-3, ..., -(N-1), interleaved in descending
-    order.  The replacement vector entry on every row is -mu^-N times the
+    order.  The replacement vector r has, on every row, -mu^-N times the
     row's first component, mu being that row's eigenvalue.
 
     When a chart has phi2 == phi3 coefficientwise, its second companion
     rows are replaced by (comp3 - comp2) / phi1*, which collapses to pure
     conjugated lambda powers.  That row combination rescales every
-    determinant by the same triangular factor, so both ratios are
-    unchanged, while the spurious rank drop at nodes of phi1 (the center
-    of a rogue wave, where the faithful rows make 0/0) disappears.
+    determinant by the same triangular factor (and r with Omega_1), so
+    both ratios are unchanged, while the spurious rank drop at nodes of
+    phi1 (the center of a rogue wave, where the faithful rows make 0/0)
+    disappears.
     """
     charts = config.charts
     if len(triples) != len(charts):
@@ -169,10 +162,7 @@ def assemble_system(config: DtConfig, triples) -> OmegaSystem:
             repl.append(-p1[-n].coeffs[c])
             repl.append(p2[-n].coeffs[c].conjugate())
             repl.append(0j if paired else p3[-n].coeffs[c].conjugate())
-    omega1 = SquareMatrix(rows)
-    omega2 = omega1.replaced_column(dim - 2, repl)
-    omega3 = omega1.replaced_column(dim - 1, repl)
-    return OmegaSystem(omega1, omega2, omega3)
+    return SquareMatrix(rows), repl
 
 
 def _check_compat(background: SeedBackground, config: DtConfig):
@@ -198,35 +188,27 @@ def build_triple(chart: SpectralChart, background: SeedBackground,
                                    2 * chart.multiplicity)
 
 
-def _ratio(dn: complex, kn: int, dd: complex, kd: int) -> complex:
-    z = dn / dd
-    shift = kn - kd
-    try:
-        return complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
-    except OverflowError:
-        raise SingularPointError(
-            "determinant ratio overflows; the field has a pole here") from None
-
-
 def evaluate_solution(background: SeedBackground, config: DtConfig,
-                      profile: DeformationProfile, point,
-                      precision: str = "std") -> FieldSample:
-    """The transformed fields (q1[N], q2[N]) at one space-time point."""
-    if precision not in ("std", "dd"):
-        raise ConfigError(f"precision must be 'std' or 'dd', got {precision!r}")
+                      profile: DeformationProfile, point) -> FieldSample:
+    """The transformed fields (q1[N], q2[N]) at one space-time point.
+
+    Raises SingularPointError where Omega_1 has a zero pivot, an entry or
+    the solution is not finite, or the refined solve does not converge,
+    and OverflowRangeError where the eigenfunction jets overflow: the
+    point is then a gap, not a value.
+    """
     _check_compat(background, config)
-    triples = [build_triple(chart, background, profile, point)
-               for chart in config.charts]
-    system = assemble_system(config, triples)
-    d1, k1 = det_with_exponent(system.omega1, precision)
-    if d1 == 0 or math.log2(abs(d1)) + k1 < _LOG2_FLOOR:
-        raise SingularPointError(
-            f"det Omega_1 vanishes at point {point!r}")
-    d2, k2 = det_with_exponent(system.omega2, precision)
-    d3, k3 = det_with_exponent(system.omega3, precision)
+    try:
+        triples = [build_triple(chart, background, profile, point)
+                   for chart in config.charts]
+    except OverflowError:  # jet magnitudes beyond the double range
+        raise OverflowRangeError(
+            f"eigenfunction jets overflow at point {point!r}") from None
+    omega1, r = assemble_system(config, triples)
+    z = solve(omega1, r)
     q1b, q2b = background_field(background, point)
-    q1 = q1b + _ratio(d2, k2, d1, k1)
-    q2 = q2b + _ratio(d3, k3, d1, k1)
+    q1 = q1b + z[-2]
+    q2 = q2b + z[-1]
     if not (cmath.isfinite(q1) and cmath.isfinite(q2)):
         raise SingularPointError(
             f"non-finite field value at point {point!r}")
@@ -234,8 +216,8 @@ def evaluate_solution(background: SeedBackground, config: DtConfig,
 
 
 def solution_sampler(background: SeedBackground, config: DtConfig,
-                     profile: DeformationProfile, precision: str = "std"):
+                     profile: DeformationProfile):
     """Point -> FieldSample closure for the verification and search tools."""
     def sampler(point) -> FieldSample:
-        return evaluate_solution(background, config, profile, point, precision)
+        return evaluate_solution(background, config, profile, point)
     return sampler

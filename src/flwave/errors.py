@@ -24,7 +24,8 @@ class JetDomainError(FlwaveError):
 
 
 class OverflowRangeError(FlwaveError):
-    """An exponential argument left the representable range."""
+    """An exponential argument or an eigenfunction jet left the
+    representable range."""
 
     def __init__(self, message: str, exponent_real: float | None = None):
         super().__init__(message)
@@ -53,7 +54,8 @@ class PoleError(NumericError):
 
 
 class SingularPointError(NumericError):
-    """det Omega_1 vanished at this point; the sample is a gap, not a value."""
+    """Omega_1 is singular or not finite at this point, or its refined solve
+    did not converge; the sample is a gap, not a value."""
 
 
 class StencilError(NumericError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dt_engine import DtConfig, evaluate_solution
-from .errors import ConfigError, SingularPointError
+from .errors import ConfigError, OverflowRangeError, SingularPointError
 from .model import DeformationProfile, GridSpec, SeedBackground
 
 CSV_HEADER = "x,y,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"
@@ -84,8 +84,9 @@ def resolve_workers(requested: int | None = None) -> int:
     return workers
 
 
-def _eval_rows(background, config, profile, spec, precision, j_lo, j_hi):
-    """Evaluate grid rows j_lo..j_hi-1; the worker entry point."""
+def _eval_rows(background, config, profile, spec, j_lo, j_hi):
+    """Evaluate grid rows j_lo..j_hi-1; the worker entry point.  A node
+    that is singular or whose exponentials overflow is masked."""
     xs = spec.xs()
     ys = spec.ys()
     out = []
@@ -95,9 +96,9 @@ def _eval_rows(background, config, profile, spec, precision, j_lo, j_hi):
         for x in xs:
             try:
                 s = evaluate_solution(background, config, profile,
-                                      (x, y, spec.t), precision)
+                                      (x, y, spec.t))
                 row.append((s.q1, s.q2, False))
-            except SingularPointError:
+            except (SingularPointError, OverflowRangeError):
                 row.append((complex("nan"), complex("nan"), True))
         out.append(row)
     return j_lo, out
@@ -105,7 +106,7 @@ def _eval_rows(background, config, profile, spec, precision, j_lo, j_hi):
 
 def evaluate_grid(background: SeedBackground, config: DtConfig,
                   profile: DeformationProfile, spec: GridSpec,
-                  workers: int = 1, precision: str = "std") -> FieldGrid:
+                  workers: int = 1) -> FieldGrid:
     ny, nx = spec.ny, spec.nx
     q1 = np.empty((ny, nx), dtype=complex)
     q2 = np.empty((ny, nx), dtype=complex)
@@ -120,15 +121,14 @@ def evaluate_grid(background: SeedBackground, config: DtConfig,
                 mask[j, i] = bad
 
     if workers <= 1 or ny < 2:
-        _, rows = _eval_rows(background, config, profile, spec, precision,
-                             0, ny)
+        _, rows = _eval_rows(background, config, profile, spec, 0, ny)
         place(0, rows)
     else:
         chunk = max(1, ny // (workers * 4))
         spans = [(j, min(j + chunk, ny)) for j in range(0, ny, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_eval_rows, background, config, profile,
-                                   spec, precision, lo, hi)
+                                   spec, lo, hi)
                        for lo, hi in spans]
             for fut in futures:
                 j_lo, rows = fut.result()

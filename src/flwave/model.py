@@ -123,12 +123,20 @@ class GridSpec:
     t: float = 0.0
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"grid {name} must be finite, "
+                                  f"got {getattr(self, name)!r}")
         if not self.x_min < self.x_max:
             raise ConfigError("grid needs x_min < x_max")
         if not self.y_min < self.y_max:
             raise ConfigError("grid needs y_min < y_max")
-        if self.nx < 2 or self.ny < 2:
-            raise ConfigError("grid needs nx >= 2 and ny >= 2")
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if not (n >= 2 and math.isfinite(n) and n == int(n)):
+                raise ConfigError(f"grid {name} must be a whole number "
+                                  f">= 2, got {n!r}")
+            object.__setattr__(self, name, int(n))
 
     def xs(self) -> list[float]:
         step = (self.x_max - self.x_min) / (self.nx - 1)
@@ -183,9 +191,8 @@ def grid_from_json(obj) -> GridSpec:
         if not (isinstance(axis, (list, tuple)) and len(axis) == 3):
             raise ConfigError(f"grid {name} must be [min, max, n]")
     try:
-        return GridSpec(x_min=float(x[0]), x_max=float(x[1]),
-                        y_min=float(y[0]), y_max=float(y[1]),
-                        nx=int(x[2]), ny=int(y[2]),
-                        t=float(obj.get("t", 0.0)))
+        vals = [float(v) for v in (*x, *y, obj.get("t", 0.0))]
     except (TypeError, ValueError):
         raise ConfigError("grid values must be numbers") from None
+    x0, x1, nx, y0, y1, ny, t = vals
+    return GridSpec(x0, x1, y0, y1, nx, ny, t)

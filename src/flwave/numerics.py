@@ -1,18 +1,19 @@
-"""Truncated power-series (jet) arithmetic and small complex determinants.
+"""Truncated power-series (jet) arithmetic and small complex linear algebra.
 
 Jets carry the lambda-derivative information that the generalized Darboux
 rows consume: a jet of order n is the tuple of coefficients of
-eps^0 .. eps^n, and every operation is exact modulo eps^(n+1).  The
-determinant kernel factors small dense complex matrices by partially
-pivoted LU after power-of-two equilibration, with an optional compensated
-(double-double) mode for ill-conditioned systems.
+eps^0 .. eps^n, and every operation is exact modulo eps^(n+1).  Small
+dense complex matrices are factored by partially pivoted LU after
+power-of-two equilibration; the one factorization gives determinants and
+linear solves, and a solve is refined against exactly computed residuals.
 """
 from __future__ import annotations
 
 import cmath
 import math
 
-from .errors import JetDomainError, JetOrderError, OverflowRangeError, TruncationError
+from .errors import (JetDomainError, JetOrderError, OverflowRangeError,
+                     SingularPointError, TruncationError)
 
 # relative floor under which low-index coefficients are treated as exact zeros
 # when locating the leading term of a series
@@ -271,8 +272,14 @@ def jet_sqrt_even(a: Jet) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# linear algebra: one LU factorization behind det and the refined solve
 # ---------------------------------------------------------------------------
+
+# refinement stops once the last correction is this small next to z
+REFINE_TOL = 2.0 ** -50
+MAX_CORRECTIONS = 3
+
+_SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 
 
 class SquareMatrix:
@@ -292,12 +299,6 @@ class SquareMatrix:
     def identity(cls, n: int) -> "SquareMatrix":
         return cls([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
 
-    def replaced_column(self, col: int, vec) -> "SquareMatrix":
-        rows = [list(r) for r in self.rows]
-        for i, v in enumerate(vec):
-            rows[i][col] = complex(v)
-        return SquareMatrix(rows)
-
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
         n = self.dim
         a, b = self.rows, other.rows
@@ -306,54 +307,61 @@ class SquareMatrix:
              for i in range(n)])
 
 
-def _nearest_pow2_exponent(m: float) -> int:
-    # m > 0; pick p with 2^p closest to m (ties toward the larger power)
+def _pow2_exponent(m: float) -> int:
+    """p with 2^p nearest m > 0 (ties toward the larger power), kept where
+    2^-p is a normal double so that scaling by it is exact."""
     f, e = math.frexp(m)  # m = f * 2^e, f in [0.5, 1)
-    return e if f >= 0.75 else e - 1
+    p = e if f >= 0.75 else e - 1
+    return min(max(p, -1022), 1022)
+
+
+def _magnitude(values) -> float:
+    """Largest |c|, or largest max(|re|, |im|) where a modulus overflows."""
+    try:
+        return max(map(abs, values))
+    except OverflowError:
+        return max(max(abs(c.real), abs(c.imag)) for c in values)
 
 
 def _equilibrate(rows):
-    """Scale rows then columns by powers of two near their max magnitude.
+    """Scale rows then columns by powers of two near their largest entry.
 
-    Returns the scaled copy and the integer k with
-    det(original) = det(scaled) * 2**k.  Powers of two make the scaling
-    exact, so dividing it back out loses nothing.
+    Returns the scaled copy and the row and column exponents: entry (i, j)
+    is divided by 2**(row[i] + col[j]).  Powers of two make the scaling
+    exact.
     """
-    n = len(rows)
-    work = [list(r) for r in rows]
-    expo = 0
-    for i in range(n):
-        m = max(abs(c) for c in work[i])
-        if m == 0.0 or not math.isfinite(m):
-            continue
-        p = _nearest_pow2_exponent(m)
+    work = []
+    row_exp = []
+    for r in rows:
+        m = _magnitude(r)
+        p = _pow2_exponent(m) if m else 0
+        row_exp.append(p)
+        s = 2.0 ** -p
+        work.append([c * s for c in r])
+    col_exp = []
+    for j, col in enumerate(zip(*work)):
+        m = _magnitude(col)
+        p = _pow2_exponent(m) if m else 0
+        col_exp.append(p)
         if p:
-            work[i] = [complex(math.ldexp(c.real, -p), math.ldexp(c.imag, -p))
-                       for c in work[i]]
-            expo += p
-    for j in range(n):
-        m = max(abs(work[i][j]) for i in range(n))
-        if m == 0.0 or not math.isfinite(m):
-            continue
-        p = _nearest_pow2_exponent(m)
-        if p:
-            for i in range(n):
-                c = work[i][j]
-                work[i][j] = complex(math.ldexp(c.real, -p),
-                                     math.ldexp(c.imag, -p))
-            expo += p
-    return work, expo
+            s = 2.0 ** -p
+            for r in work:
+                r[j] *= s
+    return work, row_exp, col_exp
 
 
-def _lu_det(work) -> complex:
-    """Determinant by LU with partial pivoting on a mutable row list.
+def _lu(work):
+    """Partially pivoted LU of a mutable row list, in place.
 
-    The pivot is the largest-magnitude candidate; ties keep the lowest row
+    Afterwards row i of ``work`` holds row perm[i] of the input, factored:
+    U on and above the diagonal, L's multipliers below it.  Returns
+    (perm, sign of the permutation), or None at a zero pivot.  The pivot
+    is the largest-magnitude candidate and ties keep the lowest row
     index, so the factorization is deterministic.
     """
     n = len(work)
+    perm = list(range(n))
     sign = 1.0
-    det = 1.0 + 0j
     for k in range(n):
         piv, pmag = k, abs(work[k][k])
         for i in range(k + 1, n):
@@ -361,169 +369,147 @@ def _lu_det(work) -> complex:
             if m > pmag:
                 piv, pmag = i, m
         if pmag == 0.0:
-            return 0j
+            return None
         if piv != k:
             work[k], work[piv] = work[piv], work[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
             sign = -sign
-        pivot = work[k][k]
-        det *= pivot
+        row_k = work[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            f = work[i][k] / pivot
+            row_i = work[i]
+            f = row_i[k] / pivot
+            row_i[k] = f
             if f == 0:
                 continue
-            row_i, row_k = work[i], work[k]
             for j in range(k + 1, n):
                 row_i[j] -= f * row_k[j]
-    return sign * det
+    return perm, sign
 
 
-def det_with_exponent(m: SquareMatrix, precision: str = "std"):
-    """Determinant as (d, k) with det = d * 2**k, robust to huge entry scales."""
-    work, expo = _equilibrate(m.rows)
-    if precision == "std":
-        d = _lu_det(work)
-    elif precision == "dd":
-        d = _lu_det_dd(work)
-    else:
-        raise ValueError(f"unknown precision mode {precision!r}")
-    if d == 0:
-        return 0j, 0
-    return d, expo
+def _lu_solve(lu, perm, b) -> list:
+    """x with A x = b, from the factors _lu left of A."""
+    n = len(lu)
+    y = [b[p] for p in perm]
+    for i in range(1, n):
+        row = lu[i]
+        s = y[i]
+        for j in range(i):
+            s -= row[j] * y[j]
+        y[i] = s
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        s = y[i]
+        for j in range(i + 1, n):
+            s -= row[j] * y[j]
+        y[i] = s / row[i]
+    return y
 
 
-def det(m: SquareMatrix, precision: str = "std") -> complex:
-    """Determinant of a small complex matrix.  Singular input returns 0."""
-    d, k = det_with_exponent(m, precision)
-    return complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))
+# Dekker's split of both parts of c: t = _SPLITTER * c, hi = t - (t - c),
+# lo = c - hi gives c = hi + lo with at most 26 significant bits in each
+# part of hi and of lo.
+
+def _split_rows(rows) -> list:
+    """Per row, (j, -re_hi, -re_lo, im_hi, im_lo, -im_hi, -im_lo) for
+    every nonzero entry: the factors _residual multiplies."""
+    out = []
+    for r in rows:
+        terms = []
+        for j, c in enumerate(r):
+            if c:
+                t = _SPLITTER * c
+                hi = t - (t - c)
+                lo = c - hi
+                terms.append((j, -hi.real, -lo.real, hi.imag, lo.imag,
+                              -hi.imag, -lo.imag))
+        out.append(terms)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# double-double (compensated) arithmetic for the "dd" determinant mode
-# ---------------------------------------------------------------------------
-# A dd number is a pair (hi, lo) of floats with |lo| <= ulp(hi)/2; the pair
-# represents hi + lo to roughly 32 significant digits.  Complex dd values
-# are ((re_hi, re_lo), (im_hi, im_lo)).
+def _residual(split_rows, b, x) -> list:
+    """b - A x with each entry correctly rounded.
 
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float):
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _dd_add(x, y):
-    s1, e1 = _two_sum(x[0], y[0])
-    s2, e2 = _two_sum(x[1], y[1])
-    e1 += s2
-    s1, e1 = _quick_two_sum(s1, e1)
-    e1 += e2
-    return _quick_two_sum(s1, e1)
-
-
-def _dd_neg(x):
-    return (-x[0], -x[1])
-
-def _dd_sub(x, y):
-    return _dd_add(x, _dd_neg(y))
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return _quick_two_sum(p, e)
-
-
-def _dd_div(x, y):
-    q0 = x[0] / y[0]
-    r = _dd_sub(x, _dd_mul(y, (q0, 0.0)))
-    q1 = (r[0] + r[1]) / y[0]
-    r = _dd_sub(r, _dd_mul(y, (q1, 0.0)))
-    q2 = (r[0] + r[1]) / y[0]
-    s, e = _quick_two_sum(q0, q1)
-    return _quick_two_sum(s, e + q2)
-
-
-def _cdd(z: complex):
-    return ((z.real, 0.0), (z.imag, 0.0))
-
-
-def _cdd_add(x, y):
-    return (_dd_add(x[0], y[0]), _dd_add(x[1], y[1]))
-
-def _cdd_sub(x, y):
-    return (_dd_sub(x[0], y[0]), _dd_sub(x[1], y[1]))
-
-
-def _cdd_mul(x, y):
-    re = _dd_sub(_dd_mul(x[0], y[0]), _dd_mul(x[1], y[1]))
-    im = _dd_add(_dd_mul(x[0], y[1]), _dd_mul(x[1], y[0]))
-    return (re, im)
-
-
-def _cdd_div(x, y):
-    den = _dd_add(_dd_mul(y[0], y[0]), _dd_mul(y[1], y[1]))
-    re = _dd_div(_dd_add(_dd_mul(x[0], y[0]), _dd_mul(x[1], y[1])), den)
-    im = _dd_div(_dd_sub(_dd_mul(x[1], y[0]), _dd_mul(x[0], y[1])), den)
-    return (re, im)
-
-
-def _cdd_mag2(x) -> float:
-    return x[0][0] * x[0][0] + x[1][0] * x[1][0]
-
-
-def _cdd_is_zero(x) -> bool:
-    return x[0][0] == 0.0 and x[0][1] == 0.0 and x[1][0] == 0.0 and x[1][1] == 0.0
-
-
-def _lu_det_dd(rows) -> complex:
-    """Same pivoting discipline as _lu_det, in double-double arithmetic.
-
-    Pivot comparisons use the leading components only; the tie-break is
-    therefore identical to the standard path.
+    Every product of two 26-bit halves is exact, and math.fsum adds the
+    exact terms with a single rounding.
     """
-    n = len(rows)
-    work = [[_cdd(c) for c in r] for r in rows]
-    sign = 1.0
-    det_dd = ((1.0, 0.0), (0.0, 0.0))
-    for k in range(n):
-        piv, pmag = k, _cdd_mag2(work[k][k])
-        for i in range(k + 1, n):
-            m = _cdd_mag2(work[i][k])
-            if m > pmag:
-                piv, pmag = i, m
-        if pmag == 0.0 and _cdd_is_zero(work[piv][k]):
-            return 0j
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        det_dd = _cdd_mul(det_dd, pivot)
-        for i in range(k + 1, n):
-            if _cdd_is_zero(work[i][k]):
-                continue
-            f = _cdd_div(work[i][k], pivot)
-            row_i, row_k = work[i], work[k]
-            for j in range(k + 1, n):
-                row_i[j] = _cdd_sub(row_i[j], _cdd_mul(f, row_k[j]))
-    re = det_dd[0][0] + det_dd[0][1]
-    im = det_dd[1][0] + det_dd[1][1]
-    return sign * complex(re, im)
+    xs = []
+    for c in x:
+        t = _SPLITTER * c
+        hi = t - (t - c)
+        lo = c - hi
+        xs.append((hi.real, lo.real, hi.imag, lo.imag))
+    out = []
+    for bi, row in zip(b, split_rows):
+        re = [bi.real]
+        im = [bi.imag]
+        for j, nrh, nrl, ih, il, nih, nil in row:
+            xrh, xrl, xih, xil = xs[j]
+            re += (nrh * xrh, nrh * xrl, nrl * xrh, nrl * xrl,
+                   ih * xih, ih * xil, il * xih, il * xil)
+            im += (nrh * xih, nrh * xil, nrl * xih, nrl * xil,
+                   nih * xrh, nih * xrl, nil * xrh, nil * xrl)
+        out.append(complex(math.fsum(re), math.fsum(im)))
+    return out
+
+
+def _finite(values) -> bool:
+    return all(map(cmath.isfinite, values))
+
+
+def solve(m: SquareMatrix, rhs) -> list:
+    """z with m z = rhs, refined until the last correction is negligible.
+
+    One LU factorization of the power-of-two equilibrated matrix gives z;
+    each correction solves for the exactly computed residual with the same
+    factors.  Raises SingularPointError at a zero pivot, a non-finite
+    entry or result, or when MAX_CORRECTIONS corrections leave a
+    correction above REFINE_TOL * max|z|.
+    """
+    rows = m.rows
+    if not (all(map(_finite, rows)) and _finite(rhs)):
+        raise SingularPointError("non-finite matrix or right-hand side entry")
+    lu, row_exp, col_exp = _equilibrate(rows)
+    b = [v * 2.0 ** -p for v, p in zip(rhs, row_exp)]
+    split_rows = _split_rows(lu)
+    factors = _lu(lu)
+    if factors is None:
+        raise SingularPointError("zero pivot: the matrix is singular")
+    perm, _ = factors
+    # the scaled system solves for x with z = diag(2**-col_exp) x; the
+    # stopping rule weighs corrections on z's own scale
+    col_scale = [2.0 ** -p for p in col_exp]
+    x = _lu_solve(lu, perm, b)
+    for _ in range(MAX_CORRECTIONS):
+        if not _finite(x):
+            break
+        try:
+            dx = _lu_solve(lu, perm, _residual(split_rows, b, x))
+        except (OverflowError, ValueError):  # fsum met inf - inf or overflow
+            break
+        x = [u + v for u, v in zip(x, dx)]
+        z = [u * s for u, s in zip(x, col_scale)]
+        if not _finite(z):
+            break
+        if _magnitude([d * s for d, s in zip(dx, col_scale)]) \
+                <= REFINE_TOL * _magnitude(z):
+            return z
+    raise SingularPointError("iterative refinement did not converge")
+
+
+def det_with_exponent(m: SquareMatrix):
+    """Determinant as (d, k) with det = d * 2**k, robust to huge entry scales."""
+    work, row_exp, col_exp = _equilibrate(m.rows)
+    factors = _lu(work)
+    if factors is None:
+        return 0j, 0
+    d = factors[1] + 0j
+    for i, row in enumerate(work):
+        d *= row[i]
+    return d, sum(row_exp) + sum(col_exp)
+
+
+def det(m: SquareMatrix) -> complex:
+    """Determinant of a small complex matrix.  Singular input returns 0."""
+    d, k = det_with_exponent(m)
+    return complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))

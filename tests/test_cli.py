@@ -157,13 +157,6 @@ def test_config_malformed_json_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_precision_dd_small_run(tmp_path, capsys):
-    rc = main(["rogue", "--grid", "-1,1,3,-1,1,3", "--precision", "dd",
-               "--format", "csv", "--out", str(tmp_path / "dd")])
-    assert rc == 0
-    assert "grid 3x3" in capsys.readouterr().out
-
-
 def test_excess_mult_values_exit_2(tmp_path, capsys):
     rc = main(["soliton", "--mult", "1", "--mult", "1",
                "--lambda", "1,1", "--out", str(tmp_path / "m")])
@@ -175,3 +168,44 @@ def test_soliton_rejects_plane_wave_seed(capsys):
     rc = main(["soliton", "--seed", "-1,-1,-1,-2,1,1"])
     assert rc == 2
     assert "zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid,field", [
+    ("-1,1,2.5,-1,1,3", "nx"),
+    ("0,1,nan,-1,1,3", "nx"),
+    ("-1,1,3,-1,1,1", "ny"),
+    ("0,inf,3,-1,1,3", "x_max"),
+])
+def test_bad_grid_exits_2_and_names_the_field(tmp_path, capsys, grid, field):
+    rc = main(["rogue", "--grid", grid, "--format", "csv",
+               "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flwave: ")
+    assert field in err
+
+
+def test_infinite_t_exits_2_and_names_the_field(tmp_path, capsys):
+    rc = main(["rogue", "--t", "inf", "--grid", "-1,1,3,-1,1,3",
+               "--format", "csv", "--out", str(tmp_path / "t")])
+    assert rc == 2
+    assert "grid t must be finite" in capsys.readouterr().err
+
+
+def test_far_field_overflow_masks_nodes_instead_of_aborting(tmp_path,
+                                                            capsys):
+    rc = main(["soliton", "--grid", "-400,400,5,-5,5,3", "--format", "csv",
+               "--out", str(tmp_path / "far")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "grid 5x3 singular 6" in out
+
+
+def test_fully_masked_grid_exits_3_after_its_summary(tmp_path, capsys):
+    rc = main(["rogue", "--grid", "1e308,1.7e308,3,-1,1,3", "--format",
+               "csv", "--out", str(tmp_path / "far")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "grid 3x3 singular 9" in captured.out
+    assert captured.err.startswith("flwave: ")
+    assert "masked" in captured.err

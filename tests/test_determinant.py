@@ -1,11 +1,16 @@
-"""Determinant kernel: exact cases, cofactor oracle, scaling robustness."""
+"""Linear-algebra kernel: determinants (exact cases, cofactor oracle,
+scaling robustness) and the refined solve (Cramer's rule, rational
+oracle, refusal on singular or non-finite input)."""
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from flwave import SquareMatrix, det, det_with_exponent
+from flwave import (SingularPointError, SquareMatrix, det, det_with_exponent,
+                    solve)
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -99,33 +104,74 @@ def test_extreme_scale_spread_survives():
     assert abs(log_got - log_want) < 1e-9
 
 
-def test_replaced_column():
-    m = SquareMatrix.identity(3)
-    r = m.replaced_column(1, [7, 8, 9])
-    assert r.rows[0][1] == 7
-    assert r.rows[1][1] == 8
-    assert r.rows[2][1] == 9
-    assert m.rows[1][1] == 1  # original untouched
-
-
-def test_dd_mode_agrees_with_std():
+def test_solve_matches_cramer_ratios():
     rng = random.Random(25)
     for _ in range(10):
         m = random_matrix(rng, 5)
-        ds = det(m, precision="std")
-        dd = det(m, precision="dd")
-        assert abs(ds - dd) < 1e-13 * max(1.0, abs(ds))
+        rhs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(5)]
+        z = solve(m, rhs)
+        d = det(m)
+        for j in range(5):
+            rows = [list(r) for r in m.rows]
+            for i in range(5):
+                rows[i][j] = rhs[i]
+            want = det(SquareMatrix(rows)) / d
+            assert abs(z[j] - want) < 1e-12 * max(1.0, abs(want))
 
 
-def test_dd_mode_resolves_cancellation():
-    # det == 1 exactly, but the elimination remainder 2^-80 is below double
-    # precision: the std path collapses it while dd keeps the full value
+def test_refined_solve_is_exact_on_an_ill_conditioned_system():
+    # an 8x8 Hilbert matrix (condition ~1e10) rounded to doubles; the
+    # exact solution of that rounded system comes from rational arithmetic
+    n = 8
+    a = [[1.0 / (i + j + 1) for j in range(n)] for i in range(n)]
+    b = [1.0] * n
+    want = _exact_solve([[Fraction(v) for v in r] for r in a],
+                        [Fraction(v) for v in b])
+    z = solve(SquareMatrix(a), b)
+    for got, w in zip(z, want):
+        assert abs(got.imag) == 0.0
+        assert abs(Fraction(got.real) - w) <= 2 ** -52 * abs(w)
+    # unrefined double-precision elimination is far from that
+    plain = np.linalg.solve(np.array(a), np.array(b))
+    assert max(abs(Fraction(float(p)) - w) / abs(w)
+               for p, w in zip(plain, want)) > 1e-10
+
+
+def test_solve_raises_at_a_zero_pivot():
+    # det == 1 exactly, but the elimination remainder 2^-80 rounds away:
+    # the factorization meets a zero pivot and the solve refuses
     big = 2.0 ** 40
     m = SquareMatrix([[big, big + 1], [big - 1, big]])
-    assert abs(det(m, precision="dd") - 1) < 1e-15
-    assert abs(det(m, precision="std") - 1) > 0.5
+    assert det(m) == 0
+    with pytest.raises(SingularPointError):
+        solve(m, [1, 0])
 
 
-def test_unknown_precision_rejected():
-    with pytest.raises(ValueError):
-        det(SquareMatrix.identity(2), precision="quad")
+def test_solve_raises_on_non_finite_input():
+    with pytest.raises(SingularPointError):
+        solve(SquareMatrix([[1, 0], [0, float("inf")]]), [1, 1])
+    with pytest.raises(SingularPointError):
+        solve(SquareMatrix.identity(2), [1, float("nan")])
+
+
+def test_solve_survives_entries_near_the_double_limit():
+    # |entry| overflows abs() but not max(|re|, |im|)
+    huge = 1.5e308
+    m = SquareMatrix([[complex(huge, huge), 0], [0, 1]])
+    z = solve(m, [complex(huge, huge), 2])
+    assert z == [1, 2]
+
+
+def _exact_solve(a, b):
+    """Gauss-Jordan elimination over the rationals."""
+    n = len(a)
+    rows = [list(r) + [v] for r, v in zip(a, b)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [u - f * v for u, v in zip(rows[i], rows[k])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]

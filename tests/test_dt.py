@@ -1,4 +1,4 @@
-"""Omega-determinant assembly and transformed-field evaluation."""
+"""Omega-system assembly and transformed-field evaluation."""
 
 import math
 import random
@@ -15,6 +15,7 @@ from flwave import (
     Jet,
     PlaneWaveSeed,
     RogueChart,
+    SquareMatrix,
     ZeroBackground,
     ZeroSeedChart,
     assemble_system,
@@ -26,8 +27,10 @@ from flwave import (
     evaluate_solution,
     plane_wave_field,
     solution_sampler,
+    solve,
     zero_seed_eigenfunction,
 )
+from flwave.dt_engine import build_triple
 from flwave.errors import (
     OverflowRangeError,
     SingularPointError,
@@ -104,7 +107,7 @@ def test_one_fold_matrix_structure():
     lam = 0.7 + 0.3j
     p1, p2, p3 = 1.1 - 0.4j, 0.6 + 0.9j, -0.3 + 0.2j
     config = DtConfig((BreatherChart(lam, 1, 1, 1, 0j, 0j),))
-    system = assemble_system(config, [const_triple(p1, p2, p3)])
+    omega1, r = assemble_system(config, [const_triple(p1, p2, p3)])
     lc = lam.conjugate()
     want1 = [
         [lam * p1, p2, p3],
@@ -113,28 +116,31 @@ def test_one_fold_matrix_structure():
     ]
     for i in range(3):
         for j in range(3):
-            assert abs(system.omega1.rows[i][j] - want1[i][j]) < 1e-15
+            assert abs(omega1.rows[i][j] - want1[i][j]) < 1e-15
     repl = [-p1 / lam, p2.conjugate() / lc, p3.conjugate() / lc]
     for i in range(3):
-        assert abs(system.omega2.rows[i][1] - repl[i]) < 1e-15
-        assert abs(system.omega3.rows[i][2] - repl[i]) < 1e-15
+        assert abs(r[i] - repl[i]) < 1e-15
 
 
-def test_replacement_touches_exactly_one_column():
-    lam = 0.8 - 0.5j
-    config = DtConfig((BreatherChart(lam, 1, 1, 1, 0j, 0j),))
-    system = assemble_system(
-        config, [const_triple(0.9 + 0.1j, -0.2 + 0.7j, 0.4 - 0.6j)])
-    n = system.omega1.dim
-    assert n == 3 * config.folds
-    diff2 = [j for j in range(n) if any(
-        system.omega1.rows[i][j] != system.omega2.rows[i][j]
-        for i in range(n))]
-    diff3 = [j for j in range(n) if any(
-        system.omega1.rows[i][j] != system.omega3.rows[i][j]
-        for i in range(n))]
-    assert diff2 == [n - 2]
-    assert diff3 == [n - 1]
+def test_solve_entries_are_the_determinant_ratios():
+    # Cramer's rule: the last two entries of z with Omega_1 z = r are
+    # det Omega_2 / det Omega_1 and det Omega_3 / det Omega_1, Omega_2 and
+    # Omega_3 being Omega_1 with column 3N-2 or 3N-1 replaced by r
+    config = DtConfig((RogueChart(LAM_CRIT, multiplicity=1),
+                       BreatherChart(0.5 + 0.5j, 0, 1, 1)))
+    point = (0.7, -1.3, 0.2)
+    triples = [build_triple(c, SEED_R, LIN, point) for c in config.charts]
+    omega1, r = assemble_system(config, triples)
+    n = omega1.dim
+    assert n == 3 * config.folds and len(r) == n
+    z = solve(omega1, r)
+    d1 = det(omega1)
+    for col in (n - 2, n - 1):
+        rows = [list(row) for row in omega1.rows]
+        for i in range(n):
+            rows[i][col] = r[i]
+        want = det(SquareMatrix(rows)) / d1
+        assert abs(z[col] - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_omega1_generically_nonsingular():
@@ -145,8 +151,8 @@ def test_omega1_generically_nonsingular():
         chart = ZeroSeedChart(lam, h1=h1)
         point = tuple(rng.uniform(-1, 1) for _ in range(3))
         trip = zero_seed_eigenfunction(chart, LIN, point, 0)
-        system = assemble_system(DtConfig((chart,)), [trip])
-        assert abs(det(system.omega1)) > 1e-12
+        omega1, _ = assemble_system(DtConfig((chart,)), [trip])
+        assert abs(det(omega1)) > 1e-12
 
 
 def test_assembly_rejects_short_jets():
@@ -167,10 +173,8 @@ def test_gauge_invariance_of_determinant_ratio():
         gauge = complex(rng.uniform(0.2, 3), rng.uniform(-2, 2))
         scaled = EigenTriple(gauge * trip.phi1, gauge * trip.phi2,
                              gauge * trip.phi3)
-        sys_a = assemble_system(config, [trip])
-        sys_b = assemble_system(config, [scaled])
-        ra = det(sys_a.omega2) / det(sys_a.omega1)
-        rb = det(sys_b.omega2) / det(sys_b.omega1)
+        ra = solve(*assemble_system(config, [trip]))[1]
+        rb = solve(*assemble_system(config, [scaled]))[1]
         assert abs(ra - rb) < 1e-10 * max(1.0, abs(ra))
 
 
@@ -200,13 +204,6 @@ def test_background_chart_compatibility():
     wave_cfg = DtConfig((BreatherChart(0.5 + 0.5j, 0, 1, 1, 0j, 0j),))
     with pytest.raises(ConfigError):
         evaluate_solution(ZeroBackground(), wave_cfg, LIN, (0, 0, 0))
-
-
-def test_invalid_precision_rejected():
-    cfg = DtConfig((ZeroSeedChart(1 + 1j, h1=1 + 1j),))
-    with pytest.raises(ConfigError):
-        evaluate_solution(ZeroBackground(), cfg, LIN, (0, 0, 0),
-                          precision="quad")
 
 
 # -- deformed solitons -------------------------------------------------------

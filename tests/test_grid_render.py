@@ -16,6 +16,8 @@ from flwave import (
     GridSpec,
     PlaneWaveSeed,
     RogueChart,
+    ZeroBackground,
+    ZeroSeedChart,
     closed_form_rw1,
     critical_lambda,
     evaluate_grid,
@@ -252,17 +254,31 @@ def test_evaluate_grid_parallel_bitwise_equal():
 
 
 def test_evaluate_grid_masks_singular_nodes_and_continues():
-    # the cubic-profile wing of this chart crosses a band where the
-    # determinant underflows: rows below y = -9.15 flag, rows above stay
-    # finite, and the evaluation never aborts
+    # the cubic-profile wing of this chart crosses a band where Omega_1
+    # outgrows double precision: rows below y = -9.15 flag, the rows above
+    # hold either a converged value near the unit background or a mask
+    # (never an absurd value such as |q1| ~ 1e298), and the evaluation
+    # never aborts
     chart = BreatherChart(0.5 + 0.5j, 1, 1, 1, 1 + 1j, 1 + 1j)
     cfg = DtConfig((chart,))
     spec = GridSpec(-14.4, -13.6, -9.4, -8.9, 5, 6, 2.0)
     grid = evaluate_grid(SEED_B, cfg, DeformationProfile.CUBIC, spec)
-    assert grid.singular_count == 15
     assert grid.mask[:3].all()
-    assert not grid.mask[3:].any()
-    assert np.isfinite(grid.q1[3:]).all()
+    valid = ~grid.mask
+    assert (grid.abs_q1[valid] <= 10).all()
+    assert (grid.abs_q2[valid] <= 10).all()
+
+
+def test_evaluate_grid_masks_overflow_nodes_and_continues():
+    # far out on x the soliton's exponentials overflow; those nodes are
+    # masked and the rest of the grid is still evaluated
+    cfg = DtConfig((ZeroSeedChart(1 + 1j, h1=1 + 1j),))
+    spec = GridSpec(-400, 400, -5, 5, 5, 3)
+    grid = evaluate_grid(ZeroBackground(), cfg, DeformationProfile.LINEAR,
+                         spec)
+    assert grid.mask[:, 0].all() and grid.mask[:, 4].all()
+    assert not grid.mask[:, 2].any()
+    assert np.isfinite(grid.q1[:, 2]).all()
 
 
 def test_masked_nodes_export_as_nan():

@@ -1,6 +1,7 @@
 """Seed backgrounds, dispersion relation, profiles, grids, JSON schema."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -166,3 +167,29 @@ def test_grid_from_json():
     assert g.t == 1.5
     with pytest.raises(ConfigError):
         grid_from_json({"x": [-3, 3], "y": [-2, 2, 5], "t": 0})
+
+
+def test_grid_spec_rejects_non_finite_values():
+    for bad in (dict(x_max=math.inf), dict(y_min=-math.inf),
+                dict(x_min=math.nan), dict(t=math.inf), dict(t=math.nan)):
+        args = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=3,
+                    ny=3, t=0.0)
+        args.update(bad)
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"grid {name} must be finite"):
+            GridSpec(**args)
+
+
+def test_grid_spec_node_counts_are_whole_numbers():
+    assert GridSpec(-1, 1, -1, 1, 3.0, 4.0).nx == 3
+    assert isinstance(GridSpec(-1, 1, -1, 1, 3.0, 4.0).ny, int)
+    for nx in (2.5, math.nan, math.inf, 1, -3):
+        with pytest.raises(ConfigError, match="grid nx must be a whole"):
+            GridSpec(-1, 1, -1, 1, nx, 3)
+
+
+def test_grid_from_json_rejects_fractional_node_count():
+    with pytest.raises(ConfigError, match="grid nx must be a whole"):
+        grid_from_json({"x": [-3, 3, 6.5], "y": [-2, 2, 5]})
+    with pytest.raises(ConfigError, match="grid ny must be a whole"):
+        grid_from_json({"x": [-3, 3, 7], "y": [-2, 2, 1.9]})
