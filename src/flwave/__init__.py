@@ -3,7 +3,7 @@ Fokas-Lenells system via determinant-form Darboux transformations, with
 built-in residual verification and figure-style rendering."""
 
 from .dt_engine import (DtConfig, FieldSample, assemble_system,
-                        companion_triplet, evaluate_solution, solution_sampler)
+                        evaluate_solution, solution_sampler)
 from .errors import (ConfigError, DegenerateSpectrumError, FlwaveError,
                      JetDomainError, JetOrderError, NotCriticalError,
                      NumericError, OverflowRangeError, PoleError,
@@ -13,11 +13,11 @@ from .grid_render import (FieldGrid, evaluate_grid, export_field,
 from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,
                     SeedBackground, ZeroBackground, background_field,
                     dispersion_relation, plane_wave_field, profile_eval)
-from .numerics import Jet, SquareMatrix, det, det_with_exponent, solve
+from .numerics import Jet, SquareMatrix, det, solve
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
                        ZeroSeedChart, breather_eigenfunction, critical_lambda,
-                       discriminant_S, rogue_R, rogue_eigenfunction_jet,
-                       zero_seed_eigenfunction)
+                       discriminant_S, is_critical, rogue_R,
+                       rogue_eigenfunction_jet, zero_seed_eigenfunction)
 from .verify import (ResidualReport, closed_form_rw1, count_local_maxima,
                      lax_residual, pde_residual, peak_search,
                      zero_curvature_residual)

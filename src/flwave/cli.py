@@ -2,17 +2,19 @@
 
 Each built-in scenario freezes one published panel: the spectral data,
 deformation profile, and a grid window over which every node's refined
-solve converges.  Ad-hoc runs build the same pipeline from flags; a JSON
-config file can supply the seed, profile, and grid, with explicit flags
-taking precedence.
+solve converges.  A family subcommand starts from its panel (soliton
+fig1a, positon fig1e, breather fig2a, ybreather figYa, rogue fig3a,
+hybrid fig5a); a JSON config file can replace the seed, profile and
+grid, and each flag then replaces only the field it names.  Without
+--lambda, a rogue chart takes the critical lambda of the run's seed.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dt_engine import DtConfig, solution_sampler
+from .dt_engine import DtConfig, check_compat, solution_sampler
 from .errors import ConfigError, FlwaveError
 from .grid_render import (evaluate_grid, export_field, render_heatmap,
                           resolve_workers)
@@ -20,7 +22,7 @@ from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,
                     SeedBackground, ZeroBackground, grid_from_json,
                     profile_from_json, seed_from_json)
 from .spectral import (BreatherChart, RogueChart, ZeroSeedChart,
-                       critical_lambda, discriminant_S)
+                       critical_lambda, is_critical)
 from .verify import pde_residual
 
 # Richardson bracket for the verify subcommand: halving the step must
@@ -29,6 +31,8 @@ RATIO_LO = 0.2
 RATIO_HI = 0.3
 VERIFY_STEP = 1e-3
 VERIFY_POINTS = 5
+# nodes per axis of the frame copy the check points are picked from
+VERIFY_NODES = 21
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,6 @@ class Scenario:
     charts: DtConfig
     profile: DeformationProfile
     grid: GridSpec
-    outputs: tuple = ()
     blurb: str = ""
 
 
@@ -67,8 +70,7 @@ def _builtin_scenarios() -> dict:
     out = {}
 
     def add(name, background, charts, profile, grid, blurb):
-        out[name] = Scenario(name, background, charts, profile, grid,
-                             (), blurb)
+        out[name] = Scenario(name, background, charts, profile, grid, blurb)
 
     for k in "abcd":
         prof = by_letter[k]
@@ -209,11 +211,6 @@ def _floats_arg(text: str, n: int, what: str) -> tuple:
         raise ConfigError(f"{what} wants numbers, got {text!r}") from None
 
 
-def _grid_arg(text: str, t: float) -> GridSpec:
-    x0, x1, nx, y0, y1, ny = _floats_arg(text, 6, "--grid")
-    return GridSpec(x0, x1, y0, y1, nx, ny, t)
-
-
 def _seed_arg(text: str) -> SeedBackground:
     if text == "zero":
         return ZeroBackground()
@@ -240,7 +237,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
                    metavar="RE,IM", help="spectral parameter (repeatable)")
     p.add_argument("--mult", dest="mults", action="append", default=None,
                    type=int, metavar="K",
-                   help="multiplicity of the preceding --lambda")
+                   help="the i-th use sets chart i's multiplicity")
     p.add_argument("--h1", default=None, metavar="RE,IM",
                    help="deformation weight h1")
     p.add_argument("--h2", default=None, metavar="RE,IM",
@@ -291,131 +288,100 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# family assembly
+# family runs: a built-in panel with fields replaced
 # ---------------------------------------------------------------------------
 
-_FAMILY_SEEDS = {
-    "soliton": "zero",
-    "positon": "zero",
-    "breather": PlaneWaveSeed(-1.0, -1.0, -1.0, -2.0, 1.0, 1.0),
-    "ybreather": PlaneWaveSeed(-1.0, -1.0, -1.0, -2.0, 1.0, 1.0),
-    "rogue": PlaneWaveSeed(-0.5, -0.5, -1.0, -1.0, 1.0, 1.0),
-    "hybrid": PlaneWaveSeed(-0.5, -0.5, -1.0, -1.0, 1.0, 1.0),
-}
-
-_FAMILY_GRIDS = {
-    "soliton": (-12.0, 12.0, -12.0, 12.0),
-    "positon": (-12.0, 12.0, -12.0, 12.0),
-    "breather": (-12.0, 12.0, -12.0, 12.0),
-    "ybreather": (-7.0, 7.0, -7.0, 7.0),
-    "rogue": (-10.0, 10.0, -10.0, 10.0),
-    "hybrid": (-20.0, 20.0, -20.0, 20.0),
-}
+_FAMILY_PANELS = {"soliton": "fig1a", "positon": "fig1e", "breather": "fig2a",
+                  "ybreather": "figYa", "rogue": "fig3a", "hybrid": "fig5a"}
 
 
-def _is_critical(lam: complex, seed: PlaneWaveSeed) -> bool:
-    scale = 1.0 + abs(lam) ** 4 + seed.a1 * seed.a1
-    return abs(discriminant_S(lam, seed.a1, seed.d1)) <= 1e-8 * scale
+def _read_config(path) -> dict:
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path}: top level must be an object")
+    unknown = set(cfg) - {"seed", "profile", "grid"}
+    if unknown:
+        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
+    return cfg
+
+
+def _family_charts(args, panel: tuple, background) -> list:
+    """The panel's charts with the chart flags applied.
+
+    Without --lambda, a rogue chart takes the critical lambda of the run's
+    seed, so rogue and hybrid runs follow --seed and the config's seed.
+    """
+    charts = list(panel)
+    if args.lams is None and isinstance(background, PlaneWaveSeed):
+        lam_c = critical_lambda(background.a1, background.d1)
+        charts = [replace(c, lam=lam_c) if isinstance(c, RogueChart) else c
+                  for c in charts]
+    if args.lams is not None:
+        rogue = next((c for c in panel if isinstance(c, RogueChart)), None)
+        other = next((c for c in panel if not isinstance(c, RogueChart)),
+                     panel[0])
+        charts = []
+        for text in args.lams:
+            lam = _complex_arg(text, "--lambda")
+            critical = rogue is not None and is_critical(lam, background)
+            charts.append(replace(rogue if critical else other, lam=lam))
+    mults = args.mults or []
+    if len(mults) > len(charts):
+        raise ConfigError(f"{len(mults)} --mult values for "
+                          f"{len(charts)} charts")
+    for i, k in enumerate(mults):
+        charts[i] = replace(charts[i], multiplicity=k)
+    overrides = []
+    if args.h1 is not None:
+        overrides.append(("--h1", {"h1": _complex_arg(args.h1, "--h1")}))
+    if args.h2 is not None:
+        overrides.append(("--h2", {"h2": _complex_arg(args.h2, "--h2")}))
+    if args.ells is not None:
+        ls = _floats_arg(args.ells, 3, "--l")
+        overrides.append(("--l", dict(zip(("l1", "l2", "l3"), ls))))
+    if args.shifts is not None:
+        overrides.append(("--shift", {"shifts": _shift_table(args.shifts)}))
+    for flag, values in overrides:
+        key = next(iter(values))
+        hit = [i for i, c in enumerate(charts) if hasattr(c, key)]
+        if not hit:
+            raise ConfigError(f"no {args.command} chart takes {flag}")
+        for i in hit:
+            charts[i] = replace(charts[i], **values)
+    return charts
 
 
 def _family_scenario(args) -> Scenario:
-    family = args.command
-    cfg = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config}: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config {args.config}: top level must be "
-                              "an object")
-        unknown = set(cfg) - {"seed", "profile", "grid"}
-        if unknown:
-            raise ConfigError(f"config {args.config}: unknown keys "
-                              f"{sorted(unknown)}")
-
+    """The family's panel, then the --config values, then the flags."""
+    s = SCENARIOS[_FAMILY_PANELS[args.command]]
+    cfg = _read_config(args.config)
+    background, profile, grid = s.background, s.profile, s.grid
+    if "seed" in cfg:
+        background = seed_from_json(cfg["seed"])
+    if "profile" in cfg:
+        profile = profile_from_json(cfg["profile"])
+    if "grid" in cfg:
+        grid = grid_from_json(cfg["grid"])
     if args.seed is not None:
         background = _seed_arg(args.seed)
-    elif "seed" in cfg:
-        background = seed_from_json(cfg["seed"])
-    else:
-        preset = _FAMILY_SEEDS[family]
-        background = ZeroBackground() if preset == "zero" else preset
-
     if args.profile is not None:
         profile = DeformationProfile.from_name(args.profile)
-    elif "profile" in cfg:
-        profile = profile_from_json(cfg["profile"])
-    else:
-        profile = DeformationProfile.LINEAR
-
-    grid_json = grid_from_json(cfg["grid"]) if "grid" in cfg else None
-    t = args.t if args.t is not None else \
-        (grid_json.t if grid_json is not None else 0.0)
     if args.grid is not None:
-        grid = _grid_arg(args.grid, t)
-    elif grid_json is not None:
-        grid = GridSpec(grid_json.x_min, grid_json.x_max, grid_json.y_min,
-                        grid_json.y_max, grid_json.nx, grid_json.ny, t)
-    else:
-        x0, x1, y0, y1 = _FAMILY_GRIDS[family]
-        grid = GridSpec(x0, x1, y0, y1, 101, 101, t)
-
-    zero_based = family in ("soliton", "positon")
-    if zero_based and not isinstance(background, ZeroBackground):
-        raise ConfigError(f"{family} runs on the zero background; "
-                          "drop the plane-wave seed")
-    if not zero_based and isinstance(background, ZeroBackground):
-        raise ConfigError(f"{family} needs a plane-wave seed, not zero")
-
-    h1 = _complex_arg(args.h1, "--h1") if args.h1 is not None else None
-    h2 = _complex_arg(args.h2, "--h2") if args.h2 is not None else None
-    ells = _floats_arg(args.ells, 3, "--l") if args.ells is not None \
-        else None
-    shifts = _shift_table(args.shifts) if args.shifts is not None else ()
-
-    if args.lams is not None:
-        lams = [_complex_arg(s, "--lambda") for s in args.lams]
-    elif family in ("soliton", "positon"):
-        lams = [1 + 1j]
-    elif family in ("breather", "ybreather"):
-        lams = [0.5 + 0.5j]
-    elif family == "rogue":
-        lams = [critical_lambda(background.a1, background.d1)]
-    else:
-        lams = [critical_lambda(background.a1, background.d1), 0.5 + 0.5j]
-    mults = list(args.mults) if args.mults is not None else []
-    if len(mults) > len(lams):
-        raise ConfigError("more --mult values than --lambda values")
-    default_mult = 1 if family == "positon" else 0
-    mults += [default_mult] * (len(lams) - len(mults))
-
-    charts = []
-    for lam, mult in zip(lams, mults):
-        if zero_based:
-            charts.append(ZeroSeedChart(
-                lam, h1 if h1 is not None else 1 + 1j, mult))
-        elif family in ("breather", "ybreather"):
-            ybranch = family == "ybreather"
-            ls = ells if ells is not None else \
-                ((1.0, 1.0, 1.0) if ybranch else (0.0, 1.0, 1.0))
-            c_h1 = h1 if h1 is not None else 1 + 1j
-            c_h2 = h2 if h2 is not None else (c_h1 if ybranch else -c_h1)
-            charts.append(BreatherChart(lam, ls[0], ls[1], ls[2],
-                                        c_h1, c_h2, mult))
-        elif family == "rogue":
-            charts.append(RogueChart(lam, shifts, mult))
-        elif _is_critical(lam, background):
-            charts.append(RogueChart(lam, shifts, mult))
-        else:
-            ls = ells if ells is not None else (0.0, 1.0, 1.0)
-            charts.append(BreatherChart(lam, ls[0], ls[1], ls[2],
-                                        h1 if h1 is not None else 0j,
-                                        h2 if h2 is not None else 0j,
-                                        mult))
-    return Scenario(family, background, DtConfig(tuple(charts)), profile,
-                    grid)
+        x0, x1, nx, y0, y1, ny = _floats_arg(args.grid, 6, "--grid")
+        grid = GridSpec(x0, x1, y0, y1, nx, ny, grid.t)
+    if args.t is not None:
+        grid = replace(grid, t=args.t)
+    charts = DtConfig(tuple(_family_charts(args, s.charts.charts,
+                                           background)))
+    check_compat(background, charts)
+    return replace(s, name=args.command, background=background,
+                   charts=charts, profile=profile, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +389,11 @@ def _family_scenario(args) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(s: Scenario) -> int:
+def run_scenario(s: Scenario, outputs=()) -> int:
+    """Evaluate the scenario's grid and write each (format, path) output."""
     field = evaluate_grid(s.background, s.charts, s.profile, s.grid,
                           workers=resolve_workers())
-    for fmt, path in s.outputs:
+    for fmt, path in outputs:
         if fmt == "csv":
             export_field(field, path, "csv")
         elif fmt == "bin":
@@ -448,29 +415,27 @@ def run_scenario(s: Scenario) -> int:
     return 0
 
 
-def _with_outputs(s: Scenario, args) -> Scenario:
-    prefix = args.out if args.out is not None else s.name
+def _outputs(args, name: str) -> tuple:
+    prefix = args.out if args.out is not None else name
     formats = [f for f in args.format.split(",") if f]
     for fmt in formats:
         if fmt not in ("csv", "png", "bin"):
             raise ConfigError(f"--format accepts csv, png, bin; got {fmt!r}")
-    outputs = tuple((fmt, f"{prefix}.{fmt}") for fmt in formats)
-    return Scenario(s.name, s.background, s.charts, s.profile, s.grid,
-                    outputs, s.blurb)
+    return tuple((fmt, f"{prefix}.{fmt}") for fmt in formats)
 
 
-def _verify_points(s: Scenario, field):
+def _verify_points(field):
     """Interior on-structure nodes, well separated, singular-free."""
-    xs, ys = s.grid.xs(), s.grid.ys()
+    spec = field.spec
+    xs, ys = spec.xs(), spec.ys()
     cand = []
     a = field.abs_q1
-    for j in range(1, s.grid.ny - 1):
-        for i in range(1, s.grid.nx - 1):
+    for j in range(1, spec.ny - 1):
+        for i in range(1, spec.nx - 1):
             if not field.mask[j, i]:
                 cand.append((float(a[j, i]), xs[i], ys[j]))
     cand.sort(reverse=True)
-    min_sep = max(s.grid.x_max - s.grid.x_min,
-                  s.grid.y_max - s.grid.y_min) / 10
+    min_sep = max(spec.x_max - spec.x_min, spec.y_max - spec.y_min) / 10
     picked = []
     for mag, x, y in cand:
         if any(abs(x - px) + abs(y - py) < min_sep for _, px, py in picked):
@@ -478,14 +443,15 @@ def _verify_points(s: Scenario, field):
         picked.append((mag, x, y))
         if len(picked) == VERIFY_POINTS:
             break
-    return [(x, y, s.grid.t) for _, x, y in picked]
+    return [(x, y, spec.t) for _, x, y in picked]
 
 
 def verify_scenario(s: Scenario) -> int:
-    field = evaluate_grid(s.background, s.charts, s.profile, s.grid,
-                          workers=resolve_workers())
+    # check points come from a coarse serial copy of the frame
+    frame = replace(s.grid, nx=VERIFY_NODES, ny=VERIFY_NODES)
+    field = evaluate_grid(s.background, s.charts, s.profile, frame)
     sampler = solution_sampler(s.background, s.charts, s.profile)
-    points = _verify_points(s, field)
+    points = _verify_points(field)
     if not points:
         print(f"{s.name}: no usable sample points")
         return 3
@@ -552,7 +518,7 @@ def _dispatch(argv) -> int:
         s = _lookup(args.name)
     else:
         s = _family_scenario(args)
-    return run_scenario(_with_outputs(s, args))
+    return run_scenario(s, _outputs(args, s.name))
 
 
 def main(argv=None) -> int:

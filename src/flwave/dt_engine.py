@@ -62,16 +62,6 @@ class FieldSample:
     q2: complex
 
 
-def companion_triplet(phi: EigenTriple) -> tuple[EigenTriple, EigenTriple]:
-    """The two conjugate companions, eigenfunctions at the conjugate lambda."""
-    order = phi.phi1.order
-    zero = Jet.constant(0.0, order)
-    c1 = phi.phi1.conjugate()
-    comp2 = EigenTriple(-phi.phi2.conjugate(), c1, zero)
-    comp3 = EigenTriple(-phi.phi3.conjugate(), zero, c1)
-    return comp2, comp3
-
-
 def _required_order(chart: SpectralChart) -> int:
     if isinstance(chart, RogueChart):
         return 2 * chart.multiplicity
@@ -165,7 +155,7 @@ def assemble_system(config: DtConfig, triples):
     return SquareMatrix(rows), repl
 
 
-def _check_compat(background: SeedBackground, config: DtConfig):
+def check_compat(background: SeedBackground, config: DtConfig):
     zero_bg = isinstance(background, ZeroBackground)
     for chart in config.charts:
         if isinstance(chart, ZeroSeedChart) and not zero_bg:
@@ -197,7 +187,7 @@ def evaluate_solution(background: SeedBackground, config: DtConfig,
     and OverflowRangeError where the eigenfunction jets overflow: the
     point is then a gap, not a value.
     """
-    _check_compat(background, config)
+    check_compat(background, config)
     try:
         triples = [build_triple(chart, background, profile, point)
                    for chart in config.charts]

@@ -127,23 +127,6 @@ class Jet:
             return o
         return jet_div(o, self)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return jet_div(Jet.constant(1.0, self.order), self.__pow__(-n))
-        out = Jet.constant(1.0, self.order)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = jet_mul(out, base)
-            base_needed = k >> 1
-            if base_needed:
-                base = jet_mul(base, base)
-            k = base_needed
-        return out
-
     def conjugate(self) -> "Jet":
         """Coefficientwise conjugate; equals the jet at the conjugate center
         because the perturbation variable is real."""
@@ -156,13 +139,6 @@ class Jet:
             raise TruncationError(
                 f"cannot extend a jet of order {self.order} to {order}")
         return Jet(self.coeffs[: order + 1])
-
-    def shifted_up(self, k: int) -> "Jet":
-        """Multiply by eps^k, keeping the order (top coefficients drop off)."""
-        if k == 0:
-            return self
-        cs = (0j,) * k + self.coeffs
-        return Jet(cs[: len(self.coeffs)])
 
     def shifted_down(self, k: int) -> "Jet":
         """Divide by eps^k.  The k lowest coefficients must be zero up to the
@@ -294,17 +270,6 @@ class SquareMatrix:
             raise ValueError("matrix must be square and non-empty")
         self.dim = n
         self.rows = rows
-
-    @classmethod
-    def identity(cls, n: int) -> "SquareMatrix":
-        return cls([[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
-
-    def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
-        n = self.dim
-        a, b = self.rows, other.rows
-        return SquareMatrix(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)])
 
 
 def _pow2_exponent(m: float) -> int:
@@ -497,19 +462,19 @@ def solve(m: SquareMatrix, rhs) -> list:
     raise SingularPointError("iterative refinement did not converge")
 
 
-def det_with_exponent(m: SquareMatrix):
-    """Determinant as (d, k) with det = d * 2**k, robust to huge entry scales."""
+def det(m: SquareMatrix) -> complex:
+    """Determinant of a small complex matrix.  Singular input returns 0.
+
+    The pivots of the equilibrated matrix are multiplied first and the
+    power-of-two scale is applied last, so entry scales whose product
+    overflows still give a determinant of representable size.
+    """
     work, row_exp, col_exp = _equilibrate(m.rows)
     factors = _lu(work)
     if factors is None:
-        return 0j, 0
+        return 0j
     d = factors[1] + 0j
     for i, row in enumerate(work):
         d *= row[i]
-    return d, sum(row_exp) + sum(col_exp)
-
-
-def det(m: SquareMatrix) -> complex:
-    """Determinant of a small complex matrix.  Singular input returns 0."""
-    d, k = det_with_exponent(m)
+    k = sum(row_exp) + sum(col_exp)
     return complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 from .errors import (ConfigError, DegenerateSpectrumError, NotCriticalError,
                      PoleError, TruncationError)
-from .model import DeformationProfile, PlaneWaveSeed, profile_eval
+from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
+                    profile_eval)
 from .numerics import Jet, jet_div, jet_exp, jet_mul, jet_sqrt_even
 
 # relative tolerance deciding whether S(lambda) counts as zero: the critical
@@ -111,6 +112,14 @@ def discriminant_S(lam, a1: float, d1: float):
 def _S_scale(lam: complex, a1: float, d1: float) -> float:
     m = abs(lam) ** 2
     return 4 * m * m + abs(8 * a1 * a1 * d1 * d1 + 4 * a1) * m + a1 * a1
+
+
+def is_critical(lam: complex, seed: SeedBackground) -> bool:
+    """Whether S(lambda) counts as zero on this seed (never on zero seeds)."""
+    if not isinstance(seed, PlaneWaveSeed):
+        return False
+    S0 = discriminant_S(lam, seed.a1, seed.d1)
+    return abs(S0) <= DEGENERATE_S_RTOL * _S_scale(lam, seed.a1, seed.d1)
 
 
 def critical_lambda(a1: float, d1: float,
@@ -231,8 +240,7 @@ def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
     if not seed.symmetric:
         raise ConfigError(
             "breather eigenfunctions need a1 == a2 and d1 == d2")
-    S0 = discriminant_S(chart.lam, seed.a1, seed.d1)
-    if abs(S0) <= DEGENERATE_S_RTOL * _S_scale(chart.lam, seed.a1, seed.d1):
+    if is_critical(chart.lam, seed):
         raise DegenerateSpectrumError(
             f"S({chart.lam!r}) = 0: use a rogue chart for this lambda")
     x, y, t = point
@@ -291,8 +299,8 @@ def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
     if not seed.symmetric or seed.b1 != seed.b2:
         raise ConfigError(
             "rogue eigenfunctions need a1 == a2, d1 == d2 and b1 == b2")
-    S0 = discriminant_S(chart.lam, seed.a1, seed.d1)
-    if abs(S0) > DEGENERATE_S_RTOL * _S_scale(chart.lam, seed.a1, seed.d1):
+    if not is_critical(chart.lam, seed):
+        S0 = discriminant_S(chart.lam, seed.a1, seed.d1)
         raise NotCriticalError(
             f"S({chart.lam!r}) = {S0!r} is not zero; rogue charts need the "
             "critical lambda")

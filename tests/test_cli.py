@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from flwave import BreatherChart, cli
 from flwave.cli import SCENARIOS, main
 
 ALL_PANELS = (
@@ -209,3 +210,82 @@ def test_fully_masked_grid_exits_3_after_its_summary(tmp_path, capsys):
     assert "grid 3x3 singular 9" in captured.out
     assert captured.err.startswith("flwave: ")
     assert "masked" in captured.err
+
+
+# -- family runs start from their panel --------------------------------------
+
+FAMILY_PANELS = {"soliton": "fig1a", "positon": "fig1e", "breather": "fig2a",
+                 "ybreather": "figYa", "rogue": "fig3a", "hybrid": "fig5a"}
+
+
+def family_scenario(argv):
+    return cli._family_scenario(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PANELS))
+def test_family_without_flags_equals_its_panel(family):
+    s = family_scenario([family])
+    panel = SCENARIOS[FAMILY_PANELS[family]]
+    assert s.name == family
+    assert (s.background, s.charts, s.profile, s.grid) \
+        == (panel.background, panel.charts, panel.profile, panel.grid)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["soliton", "--shift", "1,5,0"], "--shift"),
+    (["rogue", "--h1", "1,0"], "--h1"),
+    (["positon", "--l", "1,1,1"], "--l"),
+])
+def test_flag_that_no_chart_takes_exits_2(tmp_path, capsys, argv, flag):
+    rc = main(argv + ["--grid", "-1,1,3,-1,1,3", "--format", "csv",
+                      "--out", str(tmp_path / "f")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flwave: ")
+    assert flag in err
+
+
+def test_breather_h1_leaves_h2_alone():
+    (chart,) = family_scenario(["breather", "--h1", "2,0"]).charts.charts
+    assert chart.h1 == 2
+    assert chart.h2 == -1 - 1j
+
+
+def test_hybrid_noncritical_lambda_copies_the_breather_chart():
+    (chart,) = family_scenario(["hybrid", "--lambda", "0.5,0.5"]).charts.charts
+    assert isinstance(chart, BreatherChart)
+    assert chart.lam == 0.5 + 0.5j
+    assert (chart.h1, chart.h2) == (0, 0)
+    assert (chart.l1, chart.l2, chart.l3) == (0, 1, 1)
+
+
+def test_hybrid_lambda_just_off_critical_runs_as_a_breather(tmp_path):
+    # |S| = 2e-9 here: not a root of S by the builders' own test
+    rc = main(["hybrid", "--lambda", "0.3535533915932738,0.35355339059327373",
+               "--grid", "-2,2,5,-2,2,5", "--format", "csv",
+               "--out", str(tmp_path / "h")])
+    assert rc == 0
+
+
+def test_verify_picks_points_on_a_small_serial_frame(monkeypatch, capsys):
+    calls = []
+    inner = cli.evaluate_grid
+
+    def counted(background, config, profile, spec, workers=1):
+        calls.append((spec.nx * spec.ny, workers))
+        return inner(background, config, profile, spec, workers=workers)
+
+    monkeypatch.setattr(cli, "evaluate_grid", counted)
+    assert main(["verify", "fig3a"]) == 0
+    assert "fig3a: verify PASS" in capsys.readouterr().out
+    assert calls
+    assert all(nodes <= 21 * 21 and workers == 1 for nodes, workers in calls)
+
+
+@pytest.mark.parametrize("family", ["rogue", "hybrid"])
+def test_rogue_families_follow_the_seed(tmp_path, capsys, family):
+    # the rogue chart takes the critical lambda of --seed, not of seed_r
+    rc = main([family, "--seed", "-0.5,-0.5,-1,-1,2,2",
+               "--grid", "-2,2,5,-2,2,5", "--format", "csv",
+               "--out", str(tmp_path / family)])
+    assert rc == 0, capsys.readouterr().err

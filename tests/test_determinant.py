@@ -9,8 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flwave import (SingularPointError, SquareMatrix, det, det_with_exponent,
-                    solve)
+from flwave import SingularPointError, SquareMatrix, det, solve
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -32,8 +31,12 @@ def cofactor_det(rows):
     return total
 
 
+def identity(n):
+    return SquareMatrix([[float(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_identity():
-    assert det(SquareMatrix.identity(4)) == 1
+    assert det(identity(4)) == 1
 
 
 def test_diagonal():
@@ -62,7 +65,9 @@ def test_multiplicative():
     for _ in range(25):
         a = random_matrix(rng, 5)
         b = random_matrix(rng, 5)
-        lhs = det(a.matmul(b))
+        ab = SquareMatrix([[sum(a.rows[i][k] * b.rows[k][j] for k in range(5))
+                            for j in range(5)] for i in range(5)])
+        lhs = det(ab)
         rhs = det(a) * det(b)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
@@ -88,20 +93,29 @@ def test_power_of_two_row_scaling_is_exact():
 
 
 def test_extreme_scale_spread_survives():
-    # entries spanning ~600 orders of magnitude: the plain product of pivots
-    # would overflow, the (mantissa, exponent) form must not
+    # row scales 10^-100 .. 10^200 spread the entries over 300 orders of
+    # magnitude; det scales by exactly their product, 10^200
     rng = random.Random(24)
     m = random_matrix(rng, 4)
-    rows = [[c * 10.0 ** (100 * i) for c in r] for i, r in enumerate(m.rows)]
-    d, k = det_with_exponent(SquareMatrix(rows))
-    assert d != 0
-    assert math.isfinite(abs(d))
-    # compare against the reference in log space (total scale 10^600
-    # overflows a plain double, the mantissa-exponent form must not)
+    rows = [[c * 10.0 ** (100 * i) for c in r]
+            for i, r in zip(range(-1, 3), m.rows)]
+    got = det(SquareMatrix(rows))
+    assert got != 0
+    assert math.isfinite(abs(got))
+    want = cofactor_det(m.rows) * 1e200
+    assert abs(got - want) < 1e-9 * abs(want)
+
+
+def test_scales_whose_product_overflows_cancel():
+    # a plain product of the pivots passes 1e600 before the 1e-300 rows
+    # bring it back; equilibrating first keeps every partial product small
+    rng = random.Random(26)
+    m = random_matrix(rng, 4)
+    scales = (1e300, 1e300, 1e-300, 1e-300)
+    rows = [[c * s for c in r] for s, r in zip(scales, m.rows)]
+    got = det(SquareMatrix(rows))
     want = cofactor_det(m.rows)
-    log_got = math.log(abs(d)) + k * math.log(2.0)
-    log_want = math.log(abs(want)) + 600 * math.log(10.0)
-    assert abs(log_got - log_want) < 1e-9
+    assert abs(got - want) < 1e-9 * abs(want)
 
 
 def test_solve_matches_cramer_ratios():
@@ -152,7 +166,7 @@ def test_solve_raises_on_non_finite_input():
     with pytest.raises(SingularPointError):
         solve(SquareMatrix([[1, 0], [0, float("inf")]]), [1, 1])
     with pytest.raises(SingularPointError):
-        solve(SquareMatrix.identity(2), [1, float("nan")])
+        solve(identity(2), [1, float("nan")])
 
 
 def test_solve_survives_entries_near_the_double_limit():

@@ -21,7 +21,6 @@ from flwave import (
     assemble_system,
     breather_eigenfunction,
     closed_form_rw1,
-    companion_triplet,
     critical_lambda,
     det,
     evaluate_solution,
@@ -65,39 +64,6 @@ def closed_breather(chart, seed, profile, point):
     ratio = (lam / lam.conjugate() - lam.conjugate() / lam) \
         * p1 * p2.conjugate() / den
     return plane_wave_field(seed, point)[0] + ratio
-
-
-# -- companions --------------------------------------------------------------
-
-
-def test_companion_unit_vector():
-    c1, c2 = companion_triplet(const_triple(1, 0, 0))
-    assert (c1.phi1.coeffs[0], c1.phi2.coeffs[0], c1.phi3.coeffs[0]) \
-        == (0, 1, 0)
-    assert (c2.phi1.coeffs[0], c2.phi2.coeffs[0], c2.phi3.coeffs[0]) \
-        == (0, 0, 1)
-
-
-def test_companion_complex_values():
-    c1, c2 = companion_triplet(const_triple(1j, 1, 2j))
-    assert (c1.phi1.coeffs[0], c1.phi2.coeffs[0], c1.phi3.coeffs[0]) \
-        == (-1, -1j, 0)
-    assert (c2.phi1.coeffs[0], c2.phi2.coeffs[0], c2.phi3.coeffs[0]) \
-        == (2j, 0, -1j)
-
-
-def test_companion_composition_sign_pattern():
-    rng = random.Random(61)
-    for _ in range(10):
-        vals = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                for _ in range(3)]
-        trip = const_triple(*vals)
-        c1, _ = companion_triplet(trip)
-        cc1, _ = companion_triplet(c1)
-        # first companion of the first companion is (-phi1, -phi2, 0)
-        assert abs(cc1.phi1.coeffs[0] + vals[0]) < 1e-15
-        assert abs(cc1.phi2.coeffs[0] + vals[1]) < 1e-15
-        assert cc1.phi3.coeffs[0] == 0
 
 
 # -- system assembly ---------------------------------------------------------

@@ -201,16 +201,6 @@ def test_ring_laws():
         assert max_coeff_diff((a + b) - b, a) < 1e-13
 
 
-def test_pow_matches_repeated_mul():
-    rng = random.Random(16)
-    for _ in range(20):
-        a = random_jet(rng, 5)
-        want = Jet.constant(1.0, 5)
-        for _ in range(4):
-            want = jet_mul(want, a)
-        assert max_coeff_diff(a ** 4, want) < 1e-12
-
-
 def test_conjugate_is_coefficientwise():
     a = Jet([1 + 2j, -3j, 4.0])
     assert a.conjugate() == Jet([1 - 2j, 3j, 4.0])
@@ -240,8 +230,10 @@ def test_truncation_consistency_under_arithmetic():
 
 
 def test_shift_round_trip():
+    # multiplying by eps (a jet whose top coefficient drops off) and
+    # dividing by it again gives back the coefficients below the top
     a = Jet([5, 6, 7, 0])
-    up = a.shifted_up(1)
+    up = jet_mul(a, Jet.variable(0, 3))
     assert up == Jet([0, 5, 6, 7])
     assert up.shifted_down(1) == Jet([5, 6, 7])
 

@@ -12,9 +12,11 @@ from flwave import (
     Jet,
     PlaneWaveSeed,
     RogueChart,
+    ZeroBackground,
     ZeroSeedChart,
     critical_lambda,
     discriminant_S,
+    is_critical,
     rogue_R,
     rogue_eigenfunction_jet,
     breather_eigenfunction,
@@ -73,6 +75,13 @@ def test_critical_lambda_roots_discriminant():
         lam = critical_lambda(a1, d1)
         scale = 1 + abs(lam) ** 4 + a1 * a1
         assert abs(discriminant_S(lam, a1, d1)) < 1e-12 * scale
+
+
+def test_is_critical_matches_the_builders_tolerance():
+    assert is_critical(LAM_CRIT, SEED_R)
+    # 1e-9 off the root, |S| = 2e-9 is above 1e-10 times its scale
+    assert not is_critical(LAM_CRIT + 1e-9, SEED_R)
+    assert not is_critical(LAM_CRIT, ZeroBackground())
 
 
 def test_critical_lambda_collapsed_inner_radicand():
