@@ -9,7 +9,7 @@ from .errors import (ConfigError, DegenerateSpectrumError, FlwaveError,
                      NumericError, OverflowRangeError, PoleError,
                      SingularPointError, StencilError, TruncationError)
 from .grid_render import (FieldGrid, evaluate_grid, export_field,
-                          load_binary_field, render_heatmap, resolve_workers)
+                          load_binary_field, render_heatmap)
 from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,
                     SeedBackground, ZeroBackground, background_field,
                     dispersion_relation, plane_wave_field, profile_eval)

@@ -11,13 +11,14 @@ grid, and each flag then replaces only the field it names.  Without
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .dt_engine import DtConfig, check_compat, solution_sampler
+from .dt_engine import MAX_FOLDS, DtConfig, check_compat, solution_sampler
 from .errors import ConfigError, FlwaveError
-from .grid_render import (evaluate_grid, export_field, render_heatmap,
-                          resolve_workers)
+from .grid_render import evaluate_grid, export_field, render_heatmap
 from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,
                     SeedBackground, ZeroBackground, grid_from_json,
                     profile_from_json, seed_from_json)
@@ -223,9 +224,9 @@ def _shift_table(entries) -> tuple:
     table = {}
     for entry in entries:
         j, v, w = _floats_arg(entry, 3, "--shift")
-        if j < 0 or j != int(j):
-            raise ConfigError(f"--shift index must be a whole number >= 0, "
-                              f"got {entry!r}")
+        if j < 0 or j != int(j) or j >= MAX_FOLDS:
+            raise ConfigError(f"--shift index must be a whole number in "
+                              f"0..{MAX_FOLDS - 1}, got {entry!r}")
         table[int(j)] = (v, w)
     if not table:
         return ()
@@ -389,19 +390,21 @@ def _family_scenario(args) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
+# --format name -> writer of a field grid to a path
+_WRITERS = {"csv": partial(export_field, format="csv"),
+            "bin": partial(export_field, format="f64bin"),
+            "png": render_heatmap}
+
+
 def run_scenario(s: Scenario, outputs=()) -> int:
     """Evaluate the scenario's grid and write each (format, path) output."""
+    # one worker per CPU this process may run on, so `taskset` caps the pool
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     field = evaluate_grid(s.background, s.charts, s.profile, s.grid,
-                          workers=resolve_workers())
+                          workers=cpus)
     for fmt, path in outputs:
-        if fmt == "csv":
-            export_field(field, path, "csv")
-        elif fmt == "bin":
-            export_field(field, path, "f64bin")
-        elif fmt == "png":
-            render_heatmap(field, path)
-        else:
-            raise ConfigError(f"unknown output format {fmt!r}")
+        _WRITERS[fmt](field, path)
     a = field.abs_q1
     ok = ~field.mask
     mn = float(a[ok].min()) if ok.any() else float("nan")
@@ -419,8 +422,9 @@ def _outputs(args, name: str) -> tuple:
     prefix = args.out if args.out is not None else name
     formats = [f for f in args.format.split(",") if f]
     for fmt in formats:
-        if fmt not in ("csv", "png", "bin"):
-            raise ConfigError(f"--format accepts csv, png, bin; got {fmt!r}")
+        if fmt not in _WRITERS:
+            raise ConfigError(f"--format accepts {', '.join(_WRITERS)}; "
+                              f"got {fmt!r}")
     return tuple((fmt, f"{prefix}.{fmt}") for fmt in formats)
 
 

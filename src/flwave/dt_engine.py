@@ -184,8 +184,8 @@ def evaluate_solution(background: SeedBackground, config: DtConfig,
 
     Raises SingularPointError where Omega_1 has a zero pivot, an entry or
     the solution is not finite, or the refined solve does not converge,
-    and OverflowRangeError where the eigenfunction jets overflow: the
-    point is then a gap, not a value.
+    and its subclass OverflowRangeError where the eigenfunction jets
+    overflow: the point is then a gap, not a value.
     """
     check_compat(background, config)
     try:

@@ -23,15 +23,6 @@ class JetDomainError(FlwaveError):
     identically-zero square root input."""
 
 
-class OverflowRangeError(FlwaveError):
-    """An exponential argument or an eigenfunction jet left the
-    representable range."""
-
-    def __init__(self, message: str, exponent_real: float | None = None):
-        super().__init__(message)
-        self.exponent_real = exponent_real
-
-
 class NumericError(FlwaveError):
     """Numeric breakdown that is not a configuration problem."""
 
@@ -56,6 +47,11 @@ class PoleError(NumericError):
 class SingularPointError(NumericError):
     """Omega_1 is singular or not finite at this point, or its refined solve
     did not converge; the sample is a gap, not a value."""
+
+
+class OverflowRangeError(SingularPointError):
+    """An exponential argument or an eigenfunction jet left the
+    representable range: a gap like any other singular point."""
 
 
 class StencilError(NumericError):

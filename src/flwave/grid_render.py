@@ -1,21 +1,22 @@
 """Dense grid evaluation, structured export, and heatmap rendering.
 
-Grids are row-major with y as the outer axis and x fastest.  Parallel
-evaluation chunks whole rows across processes and reassembles them by
-index, so a parallel run is bitwise identical to a serial one.
+Grids are row-major with y as the outer axis and x fastest.  The same
+row blocks are evaluated in this process or on a process pool, both in
+block order, so a pooled grid is bitwise identical to a serial one.  The
+CSV and binary exports are both written from one node table.
 """
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dt_engine import DtConfig, evaluate_solution
-from .errors import ConfigError, OverflowRangeError, SingularPointError
+from .errors import ConfigError, SingularPointError
 from .model import DeformationProfile, GridSpec, SeedBackground
 
 CSV_HEADER = "x,y,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"
@@ -32,21 +33,15 @@ COLORMAP_ANCHORS = (
 )
 
 
-def _build_colormap() -> tuple[tuple[int, int, int], ...]:
-    table = []
-    for i in range(256):
-        pos = i / 255.0
-        for (p0, c0), (p1, c1) in zip(COLORMAP_ANCHORS, COLORMAP_ANCHORS[1:]):
-            if pos <= p1 or (p1, c1) == COLORMAP_ANCHORS[-1]:
-                f = 0.0 if p1 == p0 else (pos - p0) / (p1 - p0)
-                f = min(max(f, 0.0), 1.0)
-                table.append(tuple(int(round(a + (b - a) * f))
-                                   for a, b in zip(c0, c1)))
-                break
-    return tuple(table)
+def _build_colormap() -> np.ndarray:
+    pos, colors = zip(*COLORMAP_ANCHORS)
+    steps = np.arange(256) / 255.0
+    rgb = [np.interp(steps, pos, channel) for channel in zip(*colors)]
+    return np.rint(rgb).T.astype(np.uint8)
 
 
-COLORMAP_TABLE = _build_colormap()
+_COLORMAP = _build_colormap()
+COLORMAP_TABLE = tuple(map(tuple, _COLORMAP.tolist()))
 MASK_COLOR = (0, 0, 0)
 
 
@@ -70,70 +65,40 @@ class FieldGrid:
         return int(np.count_nonzero(self.mask))
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit request, capped by FLWAVE_THREADS if set."""
-    cap = os.environ.get("FLWAVE_THREADS")
-    if requested is None:
-        requested = os.cpu_count() or 1
-    workers = max(1, int(requested))
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"FLWAVE_THREADS={cap!r} is not an integer") from None
-    return workers
-
-
-def _eval_rows(background, config, profile, spec, j_lo, j_hi):
-    """Evaluate grid rows j_lo..j_hi-1; the worker entry point.  A node
-    that is singular or whose exponentials overflow is masked."""
+def _eval_rows(background, config, profile, spec, rows):
+    """The (q1, q2) block of the grid rows j in `rows`, of shape
+    (len(rows), nx, 2); the worker entry point.  A singular node, one
+    whose exponentials overflow included, is NaN."""
     xs = spec.xs()
     ys = spec.ys()
-    out = []
-    for j in range(j_lo, j_hi):
-        y = ys[j]
-        row = []
-        for x in xs:
+    block = np.full((len(rows), len(xs), 2), complex("nan"))
+    for r, j in enumerate(rows):
+        for i, x in enumerate(xs):
             try:
                 s = evaluate_solution(background, config, profile,
-                                      (x, y, spec.t))
-                row.append((s.q1, s.q2, False))
-            except (SingularPointError, OverflowRangeError):
-                row.append((complex("nan"), complex("nan"), True))
-        out.append(row)
-    return j_lo, out
+                                      (x, ys[j], spec.t))
+            except SingularPointError:
+                continue
+            block[r, i] = s.q1, s.q2
+    return block
 
 
 def evaluate_grid(background: SeedBackground, config: DtConfig,
                   profile: DeformationProfile, spec: GridSpec,
                   workers: int = 1) -> FieldGrid:
-    ny, nx = spec.ny, spec.nx
-    q1 = np.empty((ny, nx), dtype=complex)
-    q2 = np.empty((ny, nx), dtype=complex)
-    mask = np.zeros((ny, nx), dtype=bool)
-
-    def place(j_lo, rows):
-        for dj, row in enumerate(rows):
-            j = j_lo + dj
-            for i, (v1, v2, bad) in enumerate(row):
-                q1[j, i] = v1
-                q2[j, i] = v2
-                mask[j, i] = bad
-
-    if workers <= 1 or ny < 2:
-        _, rows = _eval_rows(background, config, profile, spec, 0, ny)
-        place(0, rows)
+    """Every node of the grid, on `workers` processes when more than one."""
+    chunk = max(1, spec.ny // (workers * 4))
+    blocks = [range(j, min(j + chunk, spec.ny))
+              for j in range(0, spec.ny, chunk)]
+    run = partial(_eval_rows, background, config, profile, spec)
+    if workers <= 1:
+        parts = list(map(run, blocks))
     else:
-        chunk = max(1, ny // (workers * 4))
-        spans = [(j, min(j + chunk, ny)) for j in range(0, ny, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_eval_rows, background, config, profile,
-                                   spec, lo, hi)
-                       for lo, hi in spans]
-            for fut in futures:
-                j_lo, rows = fut.result()
-                place(j_lo, rows)
-    return FieldGrid(spec=spec, q1=q1, q2=q2, mask=mask)
+            parts = list(pool.map(run, blocks))
+    q1, q2 = np.concatenate(parts).transpose(2, 0, 1).copy()
+    # NaN marks exactly the gaps: evaluate_solution never returns one
+    return FieldGrid(spec=spec, q1=q1, q2=q2, mask=np.isnan(q1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +106,20 @@ def evaluate_grid(background: SeedBackground, config: DtConfig,
 # ---------------------------------------------------------------------------
 
 
-def _node_rows(grid: FieldGrid):
-    """Yield the 8-column tuple for every node, y outer, x fastest."""
-    xs = grid.spec.xs()
-    ys = grid.spec.ys()
-    nan = float("nan")
-    for j in range(grid.spec.ny):
-        y = ys[j]
-        for i in range(grid.spec.nx):
-            if grid.mask[j, i]:
-                yield (xs[i], y, nan, nan, nan, nan, nan, nan)
-            else:
-                v1 = complex(grid.q1[j, i])
-                v2 = complex(grid.q2[j, i])
-                yield (xs[i], y, v1.real, v1.imag, abs(v1),
-                       v2.real, v2.imag, abs(v2))
+def _node_table(grid: FieldGrid) -> np.ndarray:
+    """The 8 export columns of every node, shape (ny*nx, 8), y outer and
+    x fastest; a masked node is NaN in all six field columns."""
+    x, y = np.meshgrid(grid.spec.xs(), grid.spec.ys())
+    table = np.empty((x.size, 8))
+    table[:, 0] = x.ravel()
+    table[:, 1] = y.ravel()
+    for col, q in ((2, grid.q1.ravel()), (5, grid.q2.ravel())):
+        table[:, col] = q.real
+        table[:, col + 1] = q.imag
+        # np.hypot rounds as Python's abs(complex) does; np.abs does not
+        table[:, col + 2] = np.hypot(q.real, q.imag)
+    table[grid.mask.ravel(), 2:] = np.nan
+    return table
 
 
 def export_field(grid: FieldGrid, path: str, format: str = "csv") -> None:
@@ -169,21 +133,16 @@ def export_field(grid: FieldGrid, path: str, format: str = "csv") -> None:
 
 def _export_csv(grid: FieldGrid, path: str) -> None:
     lines = [CSV_HEADER]
-    for vals in _node_rows(grid):
-        lines.append(",".join(repr(float(v)) for v in vals))
+    lines += [",".join(map(repr, row)) for row in _node_table(grid).tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _export_binary(grid: FieldGrid, path: str) -> None:
-    buf = bytearray()
-    buf += BINARY_MAGIC
-    buf += struct.pack("<II", grid.spec.nx, grid.spec.ny)
-    pack = struct.Struct("<8d").pack
-    for vals in _node_rows(grid):
-        buf += pack(*vals)
     with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        fh.write(BINARY_MAGIC)
+        fh.write(struct.pack("<II", grid.spec.nx, grid.spec.ny))
+        fh.write(_node_table(grid).astype("<f8").tobytes())
 
 
 def load_binary_field(path: str):
@@ -220,20 +179,14 @@ def render_heatmap(grid: FieldGrid, path: str, channel: str = "abs_q1",
     else:
         vmin = vmax = 0.0
     span = vmax - vmin
-    ny, nx = data.shape
-    rows = []
-    for j in range(ny - 1, -1, -1):
-        row = bytearray()
-        for i in range(nx):
-            if grid.mask[j, i]:
-                row += bytes(MASK_COLOR)
-            elif span <= 0.0:
-                row += bytes(COLORMAP_TABLE[128])
-            else:
-                idx = int(round(255.0 * (data[j, i] - vmin) / span))
-                row += bytes(COLORMAP_TABLE[min(255, max(0, idx))])
-        rows.append(bytes(row))
-    _write_png(path, nx, ny, rows)
+    idx = np.full(data.shape, 128)
+    if span > 0.0:
+        # np.rint rounds half to even, as Python's round does
+        scaled = np.where(valid, 255.0 * (data - vmin) / span, 0.0)
+        idx = np.clip(np.rint(scaled), 0, 255).astype(int)
+    rgb = _COLORMAP[idx]
+    rgb[grid.mask] = MASK_COLOR
+    _write_png(path, rgb[::-1])
 
 
 def _png_chunk(tag: bytes, payload: bytes) -> bytes:
@@ -241,8 +194,11 @@ def _png_chunk(tag: bytes, payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
 
 
-def _write_png(path: str, width: int, height: int, rows) -> None:
-    raw = b"".join(b"\x00" + row for row in rows)
+def _write_png(path: str, rgb: np.ndarray) -> None:
+    """8-bit RGB PNG of a (height, width, 3) array, top row first."""
+    height, width, _ = rgb.shape
+    # each scanline starts with filter byte 0
+    raw = np.pad(rgb.reshape(height, -1), ((0, 0), (1, 0))).tobytes()
     header = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
     blob = (b"\x89PNG\r\n\x1a\n"
             + _png_chunk(b"IHDR", header)

@@ -195,7 +195,7 @@ def jet_exp(a: Jet) -> Jet:
     a0 = a.coeffs[0]
     if a0.real > _EXP_ARG_LIMIT:
         raise OverflowRangeError(
-            f"exp argument real part {a0.real:.6g} overflows", a0.real)
+            f"exp argument real part {a0.real:.6g} overflows")
     e0 = cmath.exp(a0)
     n = len(a.coeffs)
     e = [0j] * n

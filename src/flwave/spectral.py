@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (ConfigError, DegenerateSpectrumError, NotCriticalError,
-                     PoleError, TruncationError)
+                     TruncationError)
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     profile_eval)
 from .numerics import Jet, jet_div, jet_exp, jet_mul, jet_sqrt_even
@@ -74,6 +74,12 @@ class RogueChart:
         shifts = tuple((float(v), float(w)) for v, w in self.shifts)
         object.__setattr__(self, "shifts", shifts)
         _check_chart_common(self.lam, self.multiplicity)
+        # v_j + i w_j is the eps^(2j) coefficient of the shift series,
+        # which reaches eigenfunction jets of order 2 * multiplicity only
+        # for j <= multiplicity
+        if len(shifts) > self.multiplicity + 1:
+            raise ConfigError(f"rogue shift index {len(shifts) - 1} exceeds "
+                              f"the multiplicity {self.multiplicity}")
 
 
 SpectralChart = ZeroSeedChart | BreatherChart | RogueChart
@@ -135,46 +141,17 @@ def critical_lambda(a1: float, d1: float,
     return s_out * 0.5 * cmath.sqrt(radicand)
 
 
-def _rogue_R_parts(lam2, sqS, a1: float, b1: float, c1: float, d1: float):
-    """Numerator and denominator of R as printed; works on scalars or jets."""
-    lam4 = lam2 * lam2
-    den = 4 * lam2 * (-1j * (lam2 + a1) * sqS + 2 * lam4
-                      - 2 * (-2 * a1 * a1 * d1 * d1 - a1) * lam2
-                      + a1 * a1 / 2)
-    num = (2 * (-1j + 2 * lam4
-                + (2j + 2j * d1 * d1 + 1j * b1 - 1j * c1 + 2 * a1) * lam2) * sqS
-           + 8j * lam4 * lam2
-           + 2 * lam2 * (1j * a1 * a1 + 4 * a1 * d1 * d1 + 2)
-           + a1
-           + 4 * lam4 * (-2 + 4j * a1 * a1 * d1 * d1 + 2j * a1
-                         - 2 * d1 * d1 - b1 + c1))
-    return num, den
+def rogue_R(lam, seed: PlaneWaveSeed):
+    """The drift coefficient R of the travelling argument x + iy + Rt, for
+    scalars or jets.
 
-
-def rogue_R(lam: complex, seed: PlaneWaveSeed) -> complex:
-    """The drift coefficient R of the travelling argument x + iy + Rt."""
-    a1, b1, c1, d1 = seed.a1, seed.b1, seed.c1, seed.d1
-    lam2 = lam * lam
-    sqS = cmath.sqrt(discriminant_S(lam, a1, d1))
-    num, den = _rogue_R_parts(lam2, sqS, a1, b1, c1, d1)
-    m = abs(lam2) ** 2
-    scale = 4 * abs(lam2) * (abs((lam2 + a1) * sqS) + 2 * m
-                             + abs(2 * (2 * a1 * a1 * d1 * d1 + a1)) * abs(lam2)
-                             + a1 * a1 / 2)
-    if abs(den) < 1e-12 * scale:
-        raise PoleError(f"R denominator vanishes at lambda={lam!r}", at=lam)
-    return num / den
-
-
-def _leading_index(jet: Jet, rtol: float = 1e-12) -> int:
-    scale = max(abs(c) for c in jet.coeffs)
-    if scale == 0.0:
-        return len(jet.coeffs)
-    tol = rtol * scale
-    for i, c in enumerate(jet.coeffs):
-        if abs(c) > tol:
-            return i
-    return len(jet.coeffs)
+    Under the dispersion relation with a1 = a2 and d1 = d2, the printed
+    quotient for R equals i + 1/(2 a1 lam^2) for either sign of sqrt(S),
+    so the zeros of its printed denominator are removable.
+    """
+    if not seed.symmetric:
+        raise ConfigError("R needs a seed with a1 == a2 and d1 == d2")
+    return 1j + 1 / (2 * seed.a1 * lam * lam)
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +248,10 @@ def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, internal_order: int):
     lam2 = jet_mul(lam, lam)
     S = discriminant_S(lam, a1, d1)
     sqS = jet_sqrt_even(S)
-    # R is 0/0 at the critical lambda: numerator and denominator share one
-    # power of eps, so divide it out before the series division
-    num, den = _rogue_R_parts(lam2, sqS, a1, seed.b1, seed.c1, d1)
-    k = _leading_index(den)
-    R = jet_div(num.shifted_down(k), den.shifted_down(k))
-    # re-extend R to the shared order (top coefficients are beyond the
-    # truncation everything else carries, so zeros are exact enough there)
-    if R.order < internal_order:
-        R = Jet(R.coeffs + (0j,) * (internal_order - R.order))
+    R = rogue_R(lam, seed)
     delta = [0j] * (internal_order + 1)
     for j, (v, w) in enumerate(chart.shifts):
-        if 2 * j <= internal_order:
-            delta[2 * j] = complex(v, w)
+        delta[2 * j] = complex(v, w)
     delta_jet = Jet(delta)
     half = 0.5 * sqS
     c_minus = jet_div(2 * lam2 + a1 - 1j * sqS, 4 * a1 * d1 * lam)

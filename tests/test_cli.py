@@ -19,11 +19,6 @@ ALL_PANELS = (
 )
 
 
-@pytest.fixture(autouse=True)
-def single_worker(monkeypatch):
-    monkeypatch.setenv("FLWAVE_THREADS", "1")
-
-
 def test_registry_covers_every_figure_panel():
     assert sorted(SCENARIOS) == sorted(ALL_PANELS)
     for name, s in SCENARIOS.items():
@@ -289,3 +284,41 @@ def test_rogue_families_follow_the_seed(tmp_path, capsys, family):
                "--grid", "-2,2,5,-2,2,5", "--format", "csv",
                "--out", str(tmp_path / family)])
     assert rc == 0, capsys.readouterr().err
+
+
+def test_scenario_pool_uses_the_cpus_the_process_may_run_on(monkeypatch,
+                                                           tmp_path):
+    calls = []
+    inner = cli.evaluate_grid
+
+    def counted(background, config, profile, spec, workers=1):
+        calls.append(workers)
+        return inner(background, config, profile, spec)
+
+    monkeypatch.setattr(cli, "evaluate_grid", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    rc = main(["soliton", "--grid", "-1,1,3,-1,1,3", "--format", "csv",
+               "--out", str(tmp_path / "s")])
+    assert rc == 0
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rogue", "--shift", "1,100,0"],
+    ["rogue", "--mult", "1", "--shift", "2,100,0"],
+    # rejected before a table of a million entries is built
+    ["rogue", "--shift", "1000000,1,0"],
+])
+def test_shift_past_the_rogue_order_exits_2(tmp_path, capsys, argv):
+    rc = main(argv + ["--grid", "-1,1,3,-1,1,3", "--format", "csv",
+                      "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "shift" in capsys.readouterr().err
+
+
+def test_shift_within_the_rogue_order_runs(tmp_path):
+    rc = main(["rogue", "--mult", "1", "--shift", "1,100,0",
+               "--grid", "-1,1,3,-1,1,3", "--format", "csv",
+               "--out", str(tmp_path / "r")])
+    assert rc == 0

@@ -1,5 +1,6 @@
 """Spectral helpers and eigenfunction builders."""
 
+import cmath
 import math
 import random
 
@@ -25,7 +26,6 @@ from flwave import (
 from flwave.errors import (
     DegenerateSpectrumError,
     NotCriticalError,
-    PoleError,
     TruncationError,
 )
 from flwave.numerics import jet_mul, jet_sqrt_even
@@ -114,10 +114,54 @@ def test_rogue_R_on_shell_value():
     assert abs(val - 5j) < 1e-10
 
 
-def test_rogue_R_pole_guard():
-    # lambda^2 = 3/16 zeroes the denominator factor on the principal branch
-    with pytest.raises(PoleError):
-        rogue_R(math.sqrt(3) / 4, SEED_R)
+def test_rogue_R_is_finite_at_the_removable_pole():
+    # lambda^2 = 3/16 zeroes the printed denominator on the principal
+    # branch; the numerator vanishes with it and R = i + 1/(2 a1 lam^2)
+    val = rogue_R(math.sqrt(3) / 4, SEED_R)
+    assert abs(val - (-16 / 3 + 1j)) < 1e-14
+
+
+def _printed_R(lam, seed, sqS):
+    """R as printed: a quotient in lam^2, sqrt(S), a1, b1, c1 and d1."""
+    a1, b1, c1, d1 = seed.a1, seed.b1, seed.c1, seed.d1
+    lam2 = lam * lam
+    lam4 = lam2 * lam2
+    den = 4 * lam2 * (-1j * (lam2 + a1) * sqS + 2 * lam4
+                      - 2 * (-2 * a1 * a1 * d1 * d1 - a1) * lam2
+                      + a1 * a1 / 2)
+    num = (2 * (-1j + 2 * lam4
+                + (2j + 2j * d1 * d1 + 1j * b1 - 1j * c1 + 2 * a1) * lam2) * sqS
+           + 8j * lam4 * lam2
+           + 2 * lam2 * (1j * a1 * a1 + 4 * a1 * d1 * d1 + 2)
+           + a1
+           + 4 * lam4 * (-2 + 4j * a1 * a1 * d1 * d1 + 2j * a1
+                         - 2 * d1 * d1 - b1 + c1))
+    return num / den
+
+
+@pytest.mark.parametrize("seed", [SEED_R, SEED_B,
+                                  PlaneWaveSeed(0.7, 0.7, 0.3, -0.4, 2, 2)])
+def test_rogue_R_matches_the_printed_quotient(seed):
+    rng = random.Random(11)
+    for _ in range(50):
+        lam = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0.0, 2 * math.pi))
+        sqS = cmath.sqrt(discriminant_S(lam, seed.a1, seed.d1))
+        want = rogue_R(lam, seed)
+        for branch in (sqS, -sqS):
+            assert abs(_printed_R(lam, seed, branch) - want) \
+                <= 1e-12 * abs(want)
+
+
+def test_rogue_R_accepts_jets():
+    lam = Jet.variable(LAM_CRIT, 4, power=2)
+    R = rogue_R(lam, SEED_R)
+    assert isinstance(R, Jet)
+    assert abs(R.coeffs[0] - rogue_R(LAM_CRIT, SEED_R)) < 1e-14
+
+
+def test_rogue_R_rejects_an_asymmetric_seed():
+    with pytest.raises(ConfigError):
+        rogue_R(LAM_CRIT, PlaneWaveSeed(-0.5, -0.7, -1, -1, 1, 1))
 
 
 # -- zero-seed eigenfunctions ------------------------------------------------

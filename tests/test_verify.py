@@ -33,6 +33,10 @@ from flwave import (
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
 LAM_CRIT = critical_lambda(-0.5, 1.0)
 LIN = DeformationProfile.LINEAR
+# the soliton panel: its exponentials overflow far out on x
+FAR_SOLITON = solution_sampler(ZeroBackground(),
+                               DtConfig((ZeroSeedChart(1 + 1j, h1=1 + 1j),)),
+                               LIN)
 
 
 def rw1_sampler(point):
@@ -128,6 +132,11 @@ def test_residual_singular_sample_maps_to_stencil_error():
         pde_residual(broken, (0.3, 0.0, 0.0), step=1e-3)
 
 
+def test_residual_overflowing_sample_maps_to_stencil_error():
+    with pytest.raises(StencilError):
+        pde_residual(FAR_SOLITON, (400.0, 0.0, 0.0))
+
+
 # -- peak_search -------------------------------------------------------------
 
 
@@ -150,6 +159,13 @@ def test_peak_search_second_order_rogue_exceeds_first():
     sam = solution_sampler(SEED_R, cfg, LIN)
     _, mag = peak_search(sam, GridSpec(-3, 3, -3, 3, 25, 25))
     assert mag > 3.0
+
+
+def test_peak_search_skips_overflowing_nodes():
+    # the x = +-400 columns overflow; the search still climbs the crest
+    # (|q1| = 1/sqrt(2), as a search on a small window finds it)
+    _, mag = peak_search(FAR_SOLITON, GridSpec(-400, 400, -5, 5, 5, 3))
+    assert abs(mag - math.sqrt(0.5)) < 1e-6
 
 
 def test_peak_search_all_singular_raises():
