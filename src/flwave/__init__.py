@@ -4,10 +4,8 @@ built-in residual verification and figure-style rendering."""
 
 from .dt_engine import (DtConfig, FieldSample, assemble_system,
                         evaluate_solution, solution_sampler)
-from .errors import (ConfigError, DegenerateSpectrumError, FlwaveError,
-                     JetDomainError, JetOrderError, NotCriticalError,
-                     NumericError, OverflowRangeError, PoleError,
-                     SingularPointError, StencilError, TruncationError)
+from .errors import (ConfigError, FlwaveError, NumericError,
+                     SingularPointError)
 from .grid_render import (FieldGrid, evaluate_grid, export_field,
                           load_binary_field, render_heatmap)
 from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,

@@ -17,8 +17,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (ConfigError, OverflowRangeError, SingularPointError,
-                     TruncationError)
+from .errors import ConfigError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, background_field)
 from .numerics import Jet, SquareMatrix, jet_div, jet_mul, solve
@@ -62,13 +61,9 @@ class FieldSample:
     q2: complex
 
 
-def _required_order(chart: SpectralChart) -> int:
-    if isinstance(chart, RogueChart):
-        return 2 * chart.multiplicity
-    return chart.multiplicity
-
-
-def _coeff_step(chart: SpectralChart) -> int:
+def _jet_power(chart: SpectralChart) -> int:
+    """p in lambda + eps^p: rogue charts perturb by eps^2, the others by
+    eps, so derivative m is jet coefficient p*m."""
     return 2 if isinstance(chart, RogueChart) else 1
 
 
@@ -112,25 +107,25 @@ def assemble_system(config: DtConfig, triples):
     rows: list[list[complex]] = []
     repl: list[complex] = []
     for chart, triple in zip(charts, triples):
-        need = _required_order(chart)
+        power = _jet_power(chart)
+        need = power * chart.multiplicity
         order = triple.phi1.order
         if triple.phi2.order != order or triple.phi3.order != order:
             raise ConfigError("eigenfunction components have mixed jet orders")
         if order < need:
-            raise TruncationError(
+            raise ConfigError(
                 f"chart at lambda={chart.lam!r} needs jet order >= {need}, "
                 f"got {order}")
-        step = _coeff_step(chart)
-        power = 2 if isinstance(chart, RogueChart) else 1
         pows = _power_jets(chart.lam, order, power, n)
         # products lambda^m * phi_j, reused by every derivative row; base
         # rows consume one parity of m, companion rows the other
         p1 = {m: jet_mul(pows[m], triple.phi1) for m in range(-n, n + 1)}
         p2 = {m: jet_mul(pows[m], triple.phi2) for m in range(-n, n + 1)}
-        p3 = {m: jet_mul(pows[m], triple.phi3) for m in range(-n, n + 1)}
         paired = triple.phi2.coeffs == triple.phi3.coeffs
+        p3 = p2 if paired else {m: jet_mul(pows[m], triple.phi3)
+                                for m in range(-n, n + 1)}
         for deriv in range(chart.multiplicity + 1):
-            c = deriv * step
+            c = deriv * power
             base = [0j] * dim
             comp2 = [0j] * dim
             comp3 = [0j] * dim
@@ -161,38 +156,41 @@ def check_compat(background: SeedBackground, config: DtConfig):
         if isinstance(chart, ZeroSeedChart) and not zero_bg:
             raise ConfigError(
                 "zero-seed charts require the zero background")
-        if isinstance(chart, (BreatherChart, RogueChart)) and zero_bg:
-            raise ConfigError(
-                "breather and rogue charts require a plane-wave background")
+        if isinstance(chart, (BreatherChart, RogueChart)):
+            if zero_bg:
+                raise ConfigError("breather and rogue charts require a "
+                                  "plane-wave background")
+            if background.d1 == 0 or background.d2 == 0:
+                raise ConfigError("breather and rogue charts need nonzero "
+                                  "plane-wave amplitudes d1, d2")
 
 
 def build_triple(chart: SpectralChart, background: SeedBackground,
                  profile: DeformationProfile, point) -> EigenTriple:
+    order = _jet_power(chart) * chart.multiplicity
     if isinstance(chart, ZeroSeedChart):
-        return zero_seed_eigenfunction(chart, profile, point,
-                                       chart.multiplicity)
+        return zero_seed_eigenfunction(chart, profile, point, order)
     if isinstance(chart, BreatherChart):
         return breather_eigenfunction(chart, background, profile, point,
-                                      chart.multiplicity)
-    return rogue_eigenfunction_jet(chart, background, point,
-                                   2 * chart.multiplicity)
+                                      order)
+    return rogue_eigenfunction_jet(chart, background, point, order)
 
 
 def evaluate_solution(background: SeedBackground, config: DtConfig,
                       profile: DeformationProfile, point) -> FieldSample:
     """The transformed fields (q1[N], q2[N]) at one space-time point.
 
-    Raises SingularPointError where Omega_1 has a zero pivot, an entry or
-    the solution is not finite, or the refined solve does not converge,
-    and its subclass OverflowRangeError where the eigenfunction jets
-    overflow: the point is then a gap, not a value.
+    Raises SingularPointError where the eigenfunction jets overflow,
+    Omega_1 has a zero pivot, an entry or the solution is not finite, or
+    the refined solve does not converge: the point is then a gap, not a
+    value.
     """
     check_compat(background, config)
     try:
         triples = [build_triple(chart, background, profile, point)
                    for chart in config.charts]
     except OverflowError:  # jet magnitudes beyond the double range
-        raise OverflowRangeError(
+        raise SingularPointError(
             f"eigenfunction jets overflow at point {point!r}") from None
     omega1, r = assemble_system(config, triples)
     z = solve(omega1, r)

@@ -46,6 +46,10 @@ class PlaneWaveSeed:
     c2: float = field(init=False)
 
     def __post_init__(self):
+        for name in _SEED_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"seed {name} must be finite, "
+                                  f"got {getattr(self, name)!r}")
         if self.d1 < 0 or self.d2 < 0:
             raise ConfigError("background amplitudes d1, d2 must be >= 0")
         c1, c2 = dispersion_relation(self.a1, self.a2, self.b1, self.b2,

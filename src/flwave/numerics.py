@@ -12,8 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (JetDomainError, JetOrderError, OverflowRangeError,
-                     SingularPointError, TruncationError)
+from .errors import ConfigError, SingularPointError
 
 # relative floor under which low-index coefficients are treated as exact zeros
 # when locating the leading term of a series
@@ -28,7 +27,7 @@ class Jet:
 
     ``coeffs[k]`` multiplies eps^k.  Jets of different order never mix
     implicitly; callers align orders first (a mismatch raises
-    JetOrderError).  Plain numbers promote to constant jets of the
+    ConfigError).  Plain numbers promote to constant jets of the
     partner's order.
     """
 
@@ -37,7 +36,7 @@ class Jet:
     def __init__(self, coeffs):
         cs = tuple(complex(c) for c in coeffs)
         if not cs:
-            raise JetOrderError("a jet needs at least the eps^0 coefficient")
+            raise ConfigError("a jet needs at least the eps^0 coefficient")
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
@@ -71,7 +70,7 @@ class Jet:
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             if other.order != self.order:
-                raise JetOrderError(
+                raise ConfigError(
                     f"jet order mismatch: {self.order} vs {other.order}")
             return other
         if isinstance(other, (int, float, complex)):
@@ -136,7 +135,7 @@ class Jet:
 
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
-            raise TruncationError(
+            raise ConfigError(
                 f"cannot extend a jet of order {self.order} to {order}")
         return Jet(self.coeffs[: order + 1])
 
@@ -146,13 +145,13 @@ class Jet:
         if k == 0:
             return self
         if k > self.order:
-            raise TruncationError(
+            raise ConfigError(
                 f"cannot shift a jet of order {self.order} down by {k}")
         scale = max(abs(c) for c in self.coeffs)
         tol = ZERO_COEFF_RATIO * scale
         for c in self.coeffs[:k]:
             if abs(c) > tol:
-                raise JetDomainError(
+                raise ConfigError(
                     f"shift down by {k} hits a nonzero coefficient {c!r}")
         return Jet(self.coeffs[k:])
 
@@ -160,7 +159,7 @@ class Jet:
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the shared order."""
     if a.order != b.order:
-        raise JetOrderError(f"jet order mismatch: {a.order} vs {b.order}")
+        raise ConfigError(f"jet order mismatch: {a.order} vs {b.order}")
     ac, bc = a.coeffs, b.coeffs
     n = len(ac)
     out = [0j] * n
@@ -175,10 +174,10 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 def jet_div(a: Jet, b: Jet) -> Jet:
     """Series division; b must have a nonzero eps^0 coefficient."""
     if a.order != b.order:
-        raise JetOrderError(f"jet order mismatch: {a.order} vs {b.order}")
+        raise ConfigError(f"jet order mismatch: {a.order} vs {b.order}")
     b0 = b.coeffs[0]
     if b0 == 0:
-        raise JetDomainError("division by a jet with zero constant term")
+        raise ConfigError("division by a jet with zero constant term")
     n = len(a.coeffs)
     q = [0j] * n
     for k in range(n):
@@ -194,7 +193,7 @@ def jet_exp(a: Jet) -> Jet:
     series of the nilpotent tail, via the recurrence e' = e * a'."""
     a0 = a.coeffs[0]
     if a0.real > _EXP_ARG_LIMIT:
-        raise OverflowRangeError(
+        raise SingularPointError(
             f"exp argument real part {a0.real:.6g} overflows")
     e0 = cmath.exp(a0)
     n = len(a.coeffs)
@@ -218,7 +217,7 @@ def jet_sqrt_even(a: Jet) -> Jet:
     """
     scale = max(abs(c) for c in a.coeffs)
     if scale == 0.0:
-        raise JetDomainError("square root of the zero jet is degenerate")
+        raise ConfigError("square root of the zero jet is degenerate")
     tol = ZERO_COEFF_RATIO * scale
     lead = None
     for i, c in enumerate(a.coeffs):
@@ -226,9 +225,9 @@ def jet_sqrt_even(a: Jet) -> Jet:
             lead = i
             break
     if lead is None:
-        raise JetDomainError("square root of the zero jet is degenerate")
+        raise ConfigError("square root of the zero jet is degenerate")
     if lead % 2 != 0:
-        raise JetDomainError(
+        raise ConfigError(
             f"square root needs an even leading index, got {lead}")
     m = lead // 2
     n = len(a.coeffs)

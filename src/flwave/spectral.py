@@ -13,8 +13,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (ConfigError, DegenerateSpectrumError, NotCriticalError,
-                     TruncationError)
+from .errors import ConfigError, NumericError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     profile_eval)
 from .numerics import Jet, jet_div, jet_exp, jet_mul, jet_sqrt_even
@@ -39,7 +38,7 @@ class ZeroSeedChart:
     def __post_init__(self):
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "h1", complex(self.h1))
-        _check_chart_common(self.lam, self.multiplicity)
+        _check_chart_common(self.lam, self.multiplicity, h1=self.h1)
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,8 @@ class BreatherChart:
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "h1", complex(self.h1))
         object.__setattr__(self, "h2", complex(self.h2))
-        _check_chart_common(self.lam, self.multiplicity)
+        _check_chart_common(self.lam, self.multiplicity, h1=self.h1,
+                            h2=self.h2, l1=self.l1, l2=self.l2, l3=self.l3)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ class RogueChart:
         object.__setattr__(self, "lam", complex(self.lam))
         shifts = tuple((float(v), float(w)) for v, w in self.shifts)
         object.__setattr__(self, "shifts", shifts)
-        _check_chart_common(self.lam, self.multiplicity)
+        _check_chart_common(self.lam, self.multiplicity, **{
+            f"shift {j}": complex(v, w) for j, (v, w) in enumerate(shifts)})
         # v_j + i w_j is the eps^(2j) coefficient of the shift series,
         # which reaches eigenfunction jets of order 2 * multiplicity only
         # for j <= multiplicity
@@ -85,7 +86,10 @@ class RogueChart:
 SpectralChart = ZeroSeedChart | BreatherChart | RogueChart
 
 
-def _check_chart_common(lam: complex, multiplicity: int):
+def _check_chart_common(lam: complex, multiplicity: int, **values):
+    for name, v in (("lambda", lam), *values.items()):
+        if not cmath.isfinite(v):
+            raise ConfigError(f"chart {name} must be finite, got {v!r}")
     if lam == 0:
         raise ConfigError("spectral parameter lambda must be nonzero")
     if multiplicity < 0:
@@ -218,7 +222,7 @@ def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
         raise ConfigError(
             "breather eigenfunctions need a1 == a2 and d1 == d2")
     if is_critical(chart.lam, seed):
-        raise DegenerateSpectrumError(
+        raise ConfigError(
             f"S({chart.lam!r}) = 0: use a rogue chart for this lambda")
     x, y, t = point
     (w12, w13, cx1, cy1, cx2, cy2, cx3, cy3) = _breather_static(
@@ -269,11 +273,11 @@ def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
             "rogue eigenfunctions need a1 == a2, d1 == d2 and b1 == b2")
     if not is_critical(chart.lam, seed):
         S0 = discriminant_S(chart.lam, seed.a1, seed.d1)
-        raise NotCriticalError(
+        raise ConfigError(
             f"S({chart.lam!r}) = {S0!r} is not zero; rogue charts need the "
             "critical lambda")
     if jet_order < 2 * chart.multiplicity:
-        raise TruncationError(
+        raise ConfigError(
             f"rogue chart of multiplicity {chart.multiplicity} needs jet "
             f"order >= {2 * chart.multiplicity}, got {jet_order}")
     x, y, t = point
@@ -305,6 +309,6 @@ def _check_even_parity(triple: EigenTriple):
         for i in range(1, len(jet.coeffs), 2):
             worst = max(worst, abs(jet.coeffs[i]))
     if worst > EVEN_PARITY_RTOL * scale:
-        raise NotCriticalError(
+        raise NumericError(
             f"odd-order coefficients reach {worst:.3e} relative to {scale:.3e}; "
             "the eps-expansion lost its even parity")

@@ -95,11 +95,45 @@ def test_unknown_output_format_exits_2(tmp_path, capsys):
     assert "svg" in capsys.readouterr().err
 
 
-def test_noncritical_rogue_lambda_exits_3(tmp_path, capsys):
+def test_noncritical_rogue_lambda_exits_2(tmp_path, capsys):
+    # raised in a pool worker, where the rogue builder checks its chart
     rc = main(["rogue", "--lambda", "1,0", "--grid", "-2,2,5,-2,2,5",
                "--format", "csv", "--out", str(tmp_path / "r")])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("flwave: ")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flwave: ")
+    assert "rogue charts need the critical lambda" in err
+
+
+def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
+    rc = main(["breather", "--lambda", "0,0.7071067811865476",
+               "--grid", "-2,2,5,-2,2,5", "--format", "csv",
+               "--out", str(tmp_path / "b")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flwave: ")
+    assert "use a rogue chart" in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["ybreather", "--l", "nan,1,1"], "chart l1"),
+    (["soliton", "--h1", "inf,0"], "chart h1"),
+    (["breather", "--h2", "nan,0"], "chart h2"),
+    (["rogue", "--shift", "0,nan,0"], "chart shift 0"),
+    (["breather", "--lambda", "nan,0.5"], "chart lambda"),
+    (["breather", "--seed", "nan,-1,-1,-2,1,1"], "seed a1"),
+    (["rogue", "--seed", "-0.5,-0.5,-1,-1,inf,inf"], "seed d1"),
+    (["breather", "--seed", "-1,-1,-1,-2,0,0"], "amplitudes d1, d2"),
+    (["rogue", "--seed", "-0.5,-0.5,-1,-1,0,0"], "amplitudes d1, d2"),
+])
+def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
+        tmp_path, capsys, argv, field):
+    rc = main(argv + ["--grid", "-2,2,3,-2,2,3", "--format", "csv",
+                      "--out", str(tmp_path / "v")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flwave: ")
+    assert field in err
 
 
 def test_unwritable_output_exits_4(capsys):
@@ -136,6 +170,17 @@ def test_config_flag_overrides_file(tmp_path, capsys):
                "--format", "csv", "--out", str(tmp_path / "b")])
     assert rc == 0
     assert "grid 3x3" in capsys.readouterr().out
+
+
+def test_config_nan_seed_exits_2_and_names_the_field(tmp_path, capsys):
+    # json reads the bare token NaN as a float
+    path = tmp_path / "run.json"
+    path.write_text('{"seed": {"a1": -1, "a2": -1, "b1": -1, "b2": -2, '
+                    '"d1": NaN, "d2": 1}}')
+    rc = main(["breather", "--config", str(path), "--format", "csv",
+               "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert "seed d1 must be finite" in capsys.readouterr().err
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):

@@ -23,11 +23,6 @@ from flwave import (
     breather_eigenfunction,
     zero_seed_eigenfunction,
 )
-from flwave.errors import (
-    DegenerateSpectrumError,
-    NotCriticalError,
-    TruncationError,
-)
 from flwave.numerics import jet_mul, jet_sqrt_even
 
 SEED_B = PlaneWaveSeed(-1, -1, -1, -2, 1, 1)
@@ -217,7 +212,7 @@ def test_breather_requires_symmetric_seed():
 
 def test_breather_rejects_degenerate_lambda():
     chart = BreatherChart(LAM_CRIT, 0, 1, 1, 0j, 0j)
-    with pytest.raises(DegenerateSpectrumError):
+    with pytest.raises(ConfigError, match="use a rogue chart"):
         breather_eigenfunction(chart, SEED_R, DeformationProfile.LINEAR,
                                (0, 0, 0), 0)
 
@@ -249,7 +244,7 @@ def test_breather_jet_order_consistency():
 
 def test_rogue_rejects_non_critical_lambda():
     chart = RogueChart(0.5 + 0.5j)
-    with pytest.raises(NotCriticalError):
+    with pytest.raises(ConfigError, match="rogue charts need the critical"):
         rogue_eigenfunction_jet(chart, SEED_R, (0, 0, 0), 0)
 
 
@@ -262,7 +257,7 @@ def test_rogue_rejects_asymmetric_seed():
 
 def test_rogue_enforces_jet_order():
     chart = RogueChart(LAM_CRIT, shifts=((0.0, 0.0),), multiplicity=1)
-    with pytest.raises(TruncationError):
+    with pytest.raises(ConfigError, match="needs jet order >= 2, got 1"):
         rogue_eigenfunction_jet(chart, SEED_R, (0, 0, 0), 1)
 
 

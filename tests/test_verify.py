@@ -15,10 +15,8 @@ from flwave import (
     GridSpec,
     NumericError,
     PlaneWaveSeed,
-    PoleError,
     RogueChart,
     SingularPointError,
-    StencilError,
     ZeroBackground,
     ZeroSeedChart,
     closed_form_rw1,
@@ -128,13 +126,16 @@ def test_residual_singular_sample_maps_to_stencil_error():
         if x > 0.3005:
             raise SingularPointError("synthetic gap")
         return FieldSample(0j, 0j)
-    with pytest.raises(StencilError):
+    with pytest.raises(NumericError, match="singular sample at offset") as exc:
         pde_residual(broken, (0.3, 0.0, 0.0), step=1e-3)
+    # a residual that cannot be formed is a failed check, not a gap
+    assert not isinstance(exc.value, SingularPointError)
 
 
 def test_residual_overflowing_sample_maps_to_stencil_error():
-    with pytest.raises(StencilError):
+    with pytest.raises(NumericError, match="singular sample at offset") as exc:
         pde_residual(FAR_SOLITON, (400.0, 0.0, 0.0))
+    assert not isinstance(exc.value, SingularPointError)
 
 
 # -- peak_search -------------------------------------------------------------
@@ -171,8 +172,9 @@ def test_peak_search_skips_overflowing_nodes():
 def test_peak_search_all_singular_raises():
     def dead(point):
         raise SingularPointError("nothing here")
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="no usable samples") as exc:
         peak_search(dead, GridSpec(-1, 1, -1, 1, 5, 5))
+    assert not isinstance(exc.value, SingularPointError)
 
 
 # -- count_local_maxima ------------------------------------------------------
