@@ -1,29 +1,29 @@
 """Command line runner for the localized-wave families.
 
-Each built-in scenario freezes one published panel: the spectral data,
-deformation profile, and a grid window over which every node's refined
-solve converges.  A family subcommand starts from its panel (soliton
-fig1a, positon fig1e, breather fig2a, ybreather figYa, rogue fig3a,
-hybrid fig5a); a JSON config file can replace the seed, profile and
-grid, and each flag then replaces only the field it names.  Without
---lambda, a rogue chart takes the critical lambda of the run's seed.
+Each built-in scenario is one published panel as a run spec: its seed,
+spectral data, deformation profile, and a grid window over which every
+node's refined solve converges.  A family subcommand edits its panel's
+spec (soliton fig1a, positon fig1e, breather fig2a, ybreather figYa,
+rogue fig3a, hybrid fig5a): a JSON config file can replace the seed,
+profile and grid, each flag then replaces only the field it names, and
+the spec is parsed once.  The panels give a rogue chart's lambda as
+"critical", the root of S on the run's seed.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
-from .dt_engine import MAX_FOLDS, DtConfig, check_compat, solution_sampler
+from .dt_engine import (CHART_KINDS, MAX_FOLDS, DtConfig, solution_sampler,
+                        spec_from_json)
 from .errors import ConfigError, FlwaveError
 from .grid_render import evaluate_grid, export_field, render_heatmap
-from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,
-                    SeedBackground, ZeroBackground, grid_from_json,
-                    profile_from_json, seed_from_json)
-from .spectral import (BreatherChart, RogueChart, ZeroSeedChart,
-                       critical_lambda, is_critical)
+from .model import (_SEED_KEYS, DeformationProfile, GridSpec, SeedBackground,
+                    seed_from_json)
+from .spectral import is_critical
 from .verify import pde_residual
 
 # Richardson bracket for the verify subcommand: halving the step must
@@ -46,159 +46,132 @@ class Scenario:
     blurb: str = ""
 
 
-def _builtin_scenarios() -> dict:
-    lin = DeformationProfile.LINEAR
-    quad = DeformationProfile.QUADRATIC
-    cub = DeformationProfile.CUBIC
-    sin = DeformationProfile.SINE
-    by_letter = {"a": lin, "b": quad, "c": cub, "d": sin,
-                 "e": lin, "f": quad, "g": cub, "h": sin}
+# -- the figure panels as run specs (schema at dt_engine.spec_from_json) -----
 
-    zero = ZeroBackground()
-    seed_b = PlaneWaveSeed(a1=-1.0, a2=-1.0, b1=-1.0, b2=-2.0,
-                           d1=1.0, d2=1.0)
-    seed_r = PlaneWaveSeed(a1=-0.5, a2=-0.5, b1=-1.0, b2=-1.0,
-                           d1=1.0, d2=1.0)
-    lam_s = 1 + 1j
-    lam_b = 0.5 + 0.5j
-    lam_c = critical_lambda(seed_r.a1, seed_r.d1)
-    h_def = 1 + 1j
-
-    def g(x0, x1, y0, y1, t=0.0):
-        return GridSpec(x0, x1, y0, y1, 101, 101, t)
-
-    sq = {"lin": g(-12, 12, -12, 12), "cub": g(-7.5, 7.5, -7.5, 7.5)}
-    out = {}
-
-    def add(name, background, charts, profile, grid, blurb):
-        out[name] = Scenario(name, background, charts, profile, grid, blurb)
-
-    for k in "abcd":
-        prof = by_letter[k]
-        grid = sq["cub"] if prof is cub else sq["lin"]
-        add(f"fig1{k}", zero,
-            DtConfig((ZeroSeedChart(lam_s, h_def),)), prof, grid,
-            f"deformed soliton, {prof.value} profile")
-        add(f"fig1{chr(ord(k) + 4)}", zero,
-            DtConfig((ZeroSeedChart(lam_s, h_def, multiplicity=1),)),
-            prof, grid, f"deformed positon, {prof.value} profile")
-
-    br = DtConfig((BreatherChart(lam_b, l1=0.0, l2=1.0, l3=1.0,
-                                 h1=h_def, h2=-h_def),))
-    add("fig2a", seed_b, br, lin, g(-12, 12, -12, 12),
-        "deformed breather, linear profile")
-    add("fig2b", seed_b, br, quad, g(-12, 12, -12, 12),
-        "deformed breather, quadratic profile")
-    add("fig2c", seed_b, br, cub, g(-8, 8, -8, 8),
-        "deformed breather, cubic profile")
-    add("fig2d", seed_b, br, sin, g(-12, 12, -12, 12),
-        "deformed breather, sine profile")
-
-    ybr = DtConfig((BreatherChart(lam_b, l1=1.0, l2=1.0, l3=1.0,
-                                  h1=h_def, h2=h_def),))
-    y_grids = {
-        "a": g(-7, 7, -7, 7),
-        "b": g(-10, 10, -10, 10),
-        "c": g(-6, 6, -1.5, 6),
-        "d": g(-10, 10, -10, 10),
-        "e": g(-12, -1, -12, -1, t=10.0),
-        "f": g(-17, 3, -17, 3, t=5.0),
-        "g": g(-6, 6, -3.5, 5, t=2.0),
-        "h": g(-9, 11, -9, 11, t=15.0),
-    }
-    for k in "abcdefgh":
-        when = "t=0" if k in "abcd" else f"t={y_grids[k].t:g}"
-        add(f"figY{k}", seed_b, ybr, by_letter[k], y_grids[k],
-            f"Y-shaped breather, {by_letter[k].value} profile, {when}")
-
-    rw1 = DtConfig((RogueChart(lam_c),))
-    rw2 = DtConfig((RogueChart(lam_c, multiplicity=1),))
-    rw2s = DtConfig((RogueChart(lam_c, shifts=((0, 0), (100, 0)),
-                                multiplicity=1),))
-    rw3 = DtConfig((RogueChart(lam_c, multiplicity=2),))
-    rw3a = DtConfig((RogueChart(lam_c, shifts=((0, 0), (400, 0)),
-                                multiplicity=2),))
-    rw3b = DtConfig((RogueChart(lam_c, shifts=((0, 0), (0, 0), (1000, 0)),
-                                multiplicity=2),))
-    add("fig3a", seed_r, rw1, lin, g(-10, 10, -10, 10),
-        "first-order rogue wave, t=0")
-    add("fig3b", seed_r, rw1, lin, g(-9, 11, -31, -11, t=4.0),
-        "first-order rogue wave, t=4")
-    add("fig3c", seed_r, rw1, lin, g(-9, 11, -51, -31, t=8.0),
-        "first-order rogue wave, t=8")
-    add("fig3d", seed_r, rw2, lin, g(-10, 10, -10, 10),
-        "second-order rogue wave, t=0")
-    add("fig3e", seed_r, rw2, lin, g(-20, 20, -215, -180, t=40.0),
-        "second-order rogue wave, t=40")
-    add("fig3f", seed_r, rw2s, lin, g(-15, 15, -15, 15),
-        "second-order rogue wave split by v1=100")
-    add("fig4a", seed_r, rw3, lin, g(-12, 12, -12, 12),
-        "third-order rogue wave, t=0")
-    add("fig4b", seed_r, rw3, lin, g(-20, 20, -40, -10, t=5.0),
-        "third-order rogue wave, t=5")
-    add("fig4c", seed_r, rw3a, lin, g(-30, 30, -30, 30),
-        "third-order rogue wave split by v1=400 (triangle)")
-    add("fig4d", seed_r, rw3b, lin, g(-18, 18, -18, 18),
-        "third-order rogue wave split by v2=1000 (pentagon)")
-
-    hy_br = BreatherChart(lam_b, l1=0.0, l2=1.0, l3=1.0)
-    hy_ybr = BreatherChart(lam_b, l1=1.0, l2=1.0, l3=1.0)
-    shift16 = ((16, 16),)
-    add("fig5a", seed_r, DtConfig((RogueChart(lam_c), hy_br)), lin,
-        g(-20, 20, -20, 20), "rogue wave crossing a breather")
-    add("fig5b", seed_r,
-        DtConfig((RogueChart(lam_c, shifts=shift16), hy_br)), lin,
-        g(-30, 30, -30, 30), "rogue wave beside a breather (v0=w0=16)")
-    add("fig5c", seed_r, DtConfig((RogueChart(lam_c), hy_ybr)), lin,
-        g(-20, 20, -20, 20), "rogue wave crossing a Y-shaped breather")
-    add("fig5d", seed_r,
-        DtConfig((RogueChart(lam_c, shifts=shift16), hy_ybr)), lin,
-        g(-30, 30, -30, 30),
-        "rogue wave beside a Y-shaped breather (v0=w0=16)")
-
-    add("fig6a", seed_r,
-        DtConfig((RogueChart(lam_c, multiplicity=1), hy_br)), lin,
-        g(-25, 25, -25, 25), "second-order rogue wave on a breather")
-    add("fig6b", seed_r,
-        DtConfig((RogueChart(lam_c, shifts=((0, 0), (400, 0)),
-                             multiplicity=1), hy_br)), lin,
-        g(-25, 25, -25, 25), "split rogue pair on a breather (v1=400)")
-    add("fig6c", seed_r,
-        DtConfig((RogueChart(lam_c, shifts=((40, 0), (400, 0)),
-                             multiplicity=1), hy_br)), lin,
-        g(-60, 20, -40, 40),
-        "split rogue pair moved off the breather (v0=40, v1=400)")
-    add("fig6d", seed_r,
-        DtConfig((RogueChart(lam_c, multiplicity=1), hy_ybr)), lin,
-        g(-25, 25, -25, 25), "second-order rogue wave on a Y breather")
-    add("fig6e", seed_r,
-        DtConfig((RogueChart(lam_c, shifts=((0, 0), (200, 0)),
-                             multiplicity=1), hy_ybr)), lin,
-        g(-25, 25, -25, 25), "split rogue pair on a Y breather (v1=200)")
-    add("fig6f", seed_r,
-        DtConfig((RogueChart(lam_c, shifts=((30, 0), (400, 0)),
-                             multiplicity=1), hy_ybr)), lin,
-        g(-50, 20, -35, 35),
-        "split rogue pair moved off the Y breather (v0=30, v1=400)")
-    return out
+_SEED_B = {"a1": -1, "a2": -1, "b1": -1, "b2": -2, "d1": 1, "d2": 1}
+_SEED_R = {"a1": -0.5, "a2": -0.5, "b1": -1, "b2": -1, "d1": 1, "d2": 1}
+_SOLITON = {"kind": "zero", "lam": [1, 1], "h1": [1, 1]}
+_POSITON = {**_SOLITON, "multiplicity": 1}
+# the hybrids' breathers; fig2 and figY add the deformation weights
+_BREATHER = {"kind": "breather", "lam": [0.5, 0.5], "l1": 0.0}
+_YBREATHER = {**_BREATHER, "l1": 1.0}
+_FIG2 = {**_BREATHER, "h1": [1, 1], "h2": [-1, -1]}
+_FIGY = {**_YBREATHER, "h1": [1, 1], "h2": [1, 1]}
+_RW1 = {"kind": "rogue", "lam": "critical"}
+_RW2 = {**_RW1, "multiplicity": 1}
+_RW3 = {**_RW1, "multiplicity": 2}
 
 
-SCENARIOS = _builtin_scenarios()
+def _grid(x0, x1, y0, y1, t=0.0) -> dict:
+    return {"x": [x0, x1, 101], "y": [y0, y1, 101], "t": t}
+
+
+# name -> (blurb, seed, charts, profile, grid)
+_PANELS = {
+    "fig1a": ("deformed soliton, linear profile",
+              "zero", [_SOLITON], "linear", _grid(-12, 12, -12, 12)),
+    "fig1b": ("deformed soliton, quadratic profile",
+              "zero", [_SOLITON], "quadratic", _grid(-12, 12, -12, 12)),
+    "fig1c": ("deformed soliton, cubic profile",
+              "zero", [_SOLITON], "cubic", _grid(-7.5, 7.5, -7.5, 7.5)),
+    "fig1d": ("deformed soliton, sine profile",
+              "zero", [_SOLITON], "sine", _grid(-12, 12, -12, 12)),
+    "fig1e": ("deformed positon, linear profile",
+              "zero", [_POSITON], "linear", _grid(-12, 12, -12, 12)),
+    "fig1f": ("deformed positon, quadratic profile",
+              "zero", [_POSITON], "quadratic", _grid(-12, 12, -12, 12)),
+    "fig1g": ("deformed positon, cubic profile",
+              "zero", [_POSITON], "cubic", _grid(-7.5, 7.5, -7.5, 7.5)),
+    "fig1h": ("deformed positon, sine profile",
+              "zero", [_POSITON], "sine", _grid(-12, 12, -12, 12)),
+    "fig2a": ("deformed breather, linear profile",
+              _SEED_B, [_FIG2], "linear", _grid(-12, 12, -12, 12)),
+    "fig2b": ("deformed breather, quadratic profile",
+              _SEED_B, [_FIG2], "quadratic", _grid(-12, 12, -12, 12)),
+    "fig2c": ("deformed breather, cubic profile",
+              _SEED_B, [_FIG2], "cubic", _grid(-8, 8, -8, 8)),
+    "fig2d": ("deformed breather, sine profile",
+              _SEED_B, [_FIG2], "sine", _grid(-12, 12, -12, 12)),
+    "figYa": ("Y-shaped breather, linear profile, t=0",
+              _SEED_B, [_FIGY], "linear", _grid(-7, 7, -7, 7)),
+    "figYb": ("Y-shaped breather, quadratic profile, t=0",
+              _SEED_B, [_FIGY], "quadratic", _grid(-10, 10, -10, 10)),
+    "figYc": ("Y-shaped breather, cubic profile, t=0",
+              _SEED_B, [_FIGY], "cubic", _grid(-6, 6, -1.5, 6)),
+    "figYd": ("Y-shaped breather, sine profile, t=0",
+              _SEED_B, [_FIGY], "sine", _grid(-10, 10, -10, 10)),
+    "figYe": ("Y-shaped breather, linear profile, t=10",
+              _SEED_B, [_FIGY], "linear", _grid(-12, -1, -12, -1, 10.0)),
+    "figYf": ("Y-shaped breather, quadratic profile, t=5",
+              _SEED_B, [_FIGY], "quadratic", _grid(-17, 3, -17, 3, 5.0)),
+    "figYg": ("Y-shaped breather, cubic profile, t=2",
+              _SEED_B, [_FIGY], "cubic", _grid(-6, 6, -3.5, 5, 2.0)),
+    "figYh": ("Y-shaped breather, sine profile, t=15",
+              _SEED_B, [_FIGY], "sine", _grid(-9, 11, -9, 11, 15.0)),
+    "fig3a": ("first-order rogue wave, t=0",
+              _SEED_R, [_RW1], "linear", _grid(-10, 10, -10, 10)),
+    "fig3b": ("first-order rogue wave, t=4",
+              _SEED_R, [_RW1], "linear", _grid(-9, 11, -31, -11, 4.0)),
+    "fig3c": ("first-order rogue wave, t=8",
+              _SEED_R, [_RW1], "linear", _grid(-9, 11, -51, -31, 8.0)),
+    "fig3d": ("second-order rogue wave, t=0",
+              _SEED_R, [_RW2], "linear", _grid(-10, 10, -10, 10)),
+    "fig3e": ("second-order rogue wave, t=40",
+              _SEED_R, [_RW2], "linear", _grid(-20, 20, -215, -180, 40.0)),
+    "fig3f": ("second-order rogue wave split by v1=100",
+              _SEED_R, [{**_RW2, "shifts": [[0, 0], [100, 0]]}], "linear",
+              _grid(-15, 15, -15, 15)),
+    "fig4a": ("third-order rogue wave, t=0",
+              _SEED_R, [_RW3], "linear", _grid(-12, 12, -12, 12)),
+    "fig4b": ("third-order rogue wave, t=5",
+              _SEED_R, [_RW3], "linear", _grid(-20, 20, -40, -10, 5.0)),
+    "fig4c": ("third-order rogue wave split by v1=400 (triangle)",
+              _SEED_R, [{**_RW3, "shifts": [[0, 0], [400, 0]]}], "linear",
+              _grid(-30, 30, -30, 30)),
+    "fig4d": ("third-order rogue wave split by v2=1000 (pentagon)",
+              _SEED_R, [{**_RW3, "shifts": [[0, 0], [0, 0], [1000, 0]]}],
+              "linear", _grid(-18, 18, -18, 18)),
+    "fig5a": ("rogue wave crossing a breather",
+              _SEED_R, [_RW1, _BREATHER], "linear", _grid(-20, 20, -20, 20)),
+    "fig5b": ("rogue wave beside a breather (v0=w0=16)",
+              _SEED_R, [{**_RW1, "shifts": [[16, 16]]}, _BREATHER], "linear",
+              _grid(-30, 30, -30, 30)),
+    "fig5c": ("rogue wave crossing a Y-shaped breather",
+              _SEED_R, [_RW1, _YBREATHER], "linear", _grid(-20, 20, -20, 20)),
+    "fig5d": ("rogue wave beside a Y-shaped breather (v0=w0=16)",
+              _SEED_R, [{**_RW1, "shifts": [[16, 16]]}, _YBREATHER], "linear",
+              _grid(-30, 30, -30, 30)),
+    "fig6a": ("second-order rogue wave on a breather",
+              _SEED_R, [_RW2, _BREATHER], "linear", _grid(-25, 25, -25, 25)),
+    "fig6b": ("split rogue pair on a breather (v1=400)",
+              _SEED_R, [{**_RW2, "shifts": [[0, 0], [400, 0]]}, _BREATHER],
+              "linear", _grid(-25, 25, -25, 25)),
+    "fig6c": ("split rogue pair moved off the breather (v0=40, v1=400)",
+              _SEED_R, [{**_RW2, "shifts": [[40, 0], [400, 0]]}, _BREATHER],
+              "linear", _grid(-60, 20, -40, 40)),
+    "fig6d": ("second-order rogue wave on a Y breather",
+              _SEED_R, [_RW2, _YBREATHER], "linear", _grid(-25, 25, -25, 25)),
+    "fig6e": ("split rogue pair on a Y breather (v1=200)",
+              _SEED_R, [{**_RW2, "shifts": [[0, 0], [200, 0]]}, _YBREATHER],
+              "linear", _grid(-25, 25, -25, 25)),
+    "fig6f": ("split rogue pair moved off the Y breather (v0=30, v1=400)",
+              _SEED_R, [{**_RW2, "shifts": [[30, 0], [400, 0]]}, _YBREATHER],
+              "linear", _grid(-50, 20, -35, 35)),
+}
+
+
+def _panel_spec(name: str) -> dict:
+    """A new run spec of a built-in panel; its values are shared."""
+    return dict(zip(("seed", "charts", "profile", "grid"), _PANELS[name][1:]))
+
+
+SCENARIOS = {name: Scenario(name, *spec_from_json(_panel_spec(name)), blurb)
+             for name, (blurb, *_) in _PANELS.items()}
 
 
 # ---------------------------------------------------------------------------
 # flag parsing
 # ---------------------------------------------------------------------------
-
-
-def _complex_arg(text: str, what: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} wants 're,im', got {text!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ConfigError(f"{what} wants numbers, got {text!r}") from None
 
 
 def _floats_arg(text: str, n: int, what: str) -> tuple:
@@ -212,19 +185,12 @@ def _floats_arg(text: str, n: int, what: str) -> tuple:
         raise ConfigError(f"{what} wants numbers, got {text!r}") from None
 
 
-def _seed_arg(text: str) -> SeedBackground:
-    if text == "zero":
-        return ZeroBackground()
-    vals = _floats_arg(text, 6, "--seed")
-    return PlaneWaveSeed(*vals)
-
-
 def _shift_table(entries) -> tuple:
     """--shift j,v,w entries to a dense (v, w) tuple, zero-filled."""
     table = {}
     for entry in entries:
         j, v, w = _floats_arg(entry, 3, "--shift")
-        if j < 0 or j != int(j) or j >= MAX_FOLDS:
+        if j not in range(MAX_FOLDS):
             raise ConfigError(f"--shift index must be a whole number in "
                               f"0..{MAX_FOLDS - 1}, got {entry!r}")
         table[int(j)] = (v, w)
@@ -302,47 +268,42 @@ def _read_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
         raise ConfigError(f"config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     unknown = set(cfg) - {"seed", "profile", "grid"}
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
+    if not isinstance(cfg.get("grid", {}), dict):
+        raise ConfigError(f"config {path}: grid must be an object")
     return cfg
 
 
-def _family_charts(args, panel: tuple, background) -> list:
-    """The panel's charts with the chart flags applied.
-
-    Without --lambda, a rogue chart takes the critical lambda of the run's
-    seed, so rogue and hybrid runs follow --seed and the config's seed.
-    """
-    charts = list(panel)
-    if args.lams is None and isinstance(background, PlaneWaveSeed):
-        lam_c = critical_lambda(background.a1, background.d1)
-        charts = [replace(c, lam=lam_c) if isinstance(c, RogueChart) else c
-                  for c in charts]
+def _family_charts(args, spec: dict) -> list:
+    """The spec's chart dicts with the chart flags applied."""
+    charts = [dict(c) for c in spec["charts"]]
     if args.lams is not None:
-        rogue = next((c for c in panel if isinstance(c, RogueChart)), None)
-        other = next((c for c in panel if not isinstance(c, RogueChart)),
-                     panel[0])
-        charts = []
+        rogue = next((c for c in charts if c["kind"] == "rogue"), None)
+        other = next((c for c in charts if c["kind"] != "rogue"), charts[0])
+        picked = []
         for text in args.lams:
-            lam = _complex_arg(text, "--lambda")
-            critical = rogue is not None and is_critical(lam, background)
-            charts.append(replace(rogue if critical else other, lam=lam))
+            lam = _floats_arg(text, 2, "--lambda")
+            critical = rogue is not None and is_critical(
+                complex(*lam), seed_from_json(spec["seed"]))
+            picked.append({**(rogue if critical else other), "lam": lam})
+        charts = picked
     mults = args.mults or []
     if len(mults) > len(charts):
         raise ConfigError(f"{len(mults)} --mult values for "
                           f"{len(charts)} charts")
-    for i, k in enumerate(mults):
-        charts[i] = replace(charts[i], multiplicity=k)
+    for chart, k in zip(charts, mults):
+        chart["multiplicity"] = k
     overrides = []
     if args.h1 is not None:
-        overrides.append(("--h1", {"h1": _complex_arg(args.h1, "--h1")}))
+        overrides.append(("--h1", {"h1": _floats_arg(args.h1, 2, "--h1")}))
     if args.h2 is not None:
-        overrides.append(("--h2", {"h2": _complex_arg(args.h2, "--h2")}))
+        overrides.append(("--h2", {"h2": _floats_arg(args.h2, 2, "--h2")}))
     if args.ells is not None:
         ls = _floats_arg(args.ells, 3, "--l")
         overrides.append(("--l", dict(zip(("l1", "l2", "l3"), ls))))
@@ -350,39 +311,32 @@ def _family_charts(args, panel: tuple, background) -> list:
         overrides.append(("--shift", {"shifts": _shift_table(args.shifts)}))
     for flag, values in overrides:
         key = next(iter(values))
-        hit = [i for i, c in enumerate(charts) if hasattr(c, key)]
+        hit = [c for c in charts
+               if key in {f.name for f in fields(CHART_KINDS[c["kind"]])}]
         if not hit:
             raise ConfigError(f"no {args.command} chart takes {flag}")
-        for i in hit:
-            charts[i] = replace(charts[i], **values)
+        for chart in hit:
+            chart.update(values)
     return charts
 
 
 def _family_scenario(args) -> Scenario:
-    """The family's panel, then the --config values, then the flags."""
-    s = SCENARIOS[_FAMILY_PANELS[args.command]]
-    cfg = _read_config(args.config)
-    background, profile, grid = s.background, s.profile, s.grid
-    if "seed" in cfg:
-        background = seed_from_json(cfg["seed"])
-    if "profile" in cfg:
-        profile = profile_from_json(cfg["profile"])
-    if "grid" in cfg:
-        grid = grid_from_json(cfg["grid"])
+    """The family's panel spec, then the --config keys, then the flags."""
+    panel = _FAMILY_PANELS[args.command]
+    spec = {**_panel_spec(panel), **_read_config(args.config)}
     if args.seed is not None:
-        background = _seed_arg(args.seed)
+        spec["seed"] = "zero" if args.seed == "zero" else dict(
+            zip(_SEED_KEYS, _floats_arg(args.seed, 6, "--seed")))
     if args.profile is not None:
-        profile = DeformationProfile.from_name(args.profile)
+        spec["profile"] = args.profile
     if args.grid is not None:
-        x0, x1, nx, y0, y1, ny = _floats_arg(args.grid, 6, "--grid")
-        grid = GridSpec(x0, x1, y0, y1, nx, ny, grid.t)
+        g = _floats_arg(args.grid, 6, "--grid")
+        spec["grid"] = {**spec["grid"], "x": g[:3], "y": g[3:]}
     if args.t is not None:
-        grid = replace(grid, t=args.t)
-    charts = DtConfig(tuple(_family_charts(args, s.charts.charts,
-                                           background)))
-    check_compat(background, charts)
-    return replace(s, name=args.command, background=background,
-                   charts=charts, profile=profile, grid=grid)
+        spec["grid"] = {**spec["grid"], "t": args.t}
+    spec["charts"] = _family_charts(args, spec)
+    return Scenario(args.command, *spec_from_json(spec),
+                    SCENARIOS[panel].blurb)
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,27 @@ two determinant ratios det Omega_2 / det Omega_1 and det Omega_3 /
 det Omega_1.  Omega_2 and Omega_3 are Omega_1 with column 3N-2 or 3N-1
 replaced by one vector r, so by Cramer's rule the ratios are entries
 3N-2 and 3N-1 of the solution z of Omega_1 z = r: one refined solve per
-point gives both.
+point gives both.  spec_from_json reads a whole run (seed, profile, grid
+and charts) from its JSON form.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .errors import ConfigError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
-                    ZeroBackground, background_field)
+                    ZeroBackground, background_field, grid_from_json,
+                    profile_from_json, seed_from_json)
 from .numerics import Jet, SquareMatrix, jet_div, jet_mul, solve
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
-                       ZeroSeedChart, breather_eigenfunction,
+                       ZeroSeedChart, breather_eigenfunction, critical_lambda,
                        rogue_eigenfunction_jet, zero_seed_eigenfunction)
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
+_SPEC_KEYS = {"seed", "profile", "grid", "charts"}
 
 
 @dataclass(frozen=True)
@@ -151,18 +154,64 @@ def assemble_system(config: DtConfig, triples):
 
 
 def check_compat(background: SeedBackground, config: DtConfig):
-    zero_bg = isinstance(background, ZeroBackground)
     for chart in config.charts:
-        if isinstance(chart, ZeroSeedChart) and not zero_bg:
-            raise ConfigError(
-                "zero-seed charts require the zero background")
-        if isinstance(chart, (BreatherChart, RogueChart)):
-            if zero_bg:
-                raise ConfigError("breather and rogue charts require a "
-                                  "plane-wave background")
-            if background.d1 == 0 or background.d2 == 0:
-                raise ConfigError("breather and rogue charts need nonzero "
-                                  "plane-wave amplitudes d1, d2")
+        if not isinstance(chart, ZeroSeedChart):
+            _plane_wave(background)
+        elif not isinstance(background, ZeroBackground):
+            raise ConfigError("zero-seed charts require the zero background")
+
+
+def _plane_wave(background: SeedBackground) -> PlaneWaveSeed:
+    """The background, if breather and rogue charts can stand on it."""
+    if isinstance(background, ZeroBackground):
+        raise ConfigError("breather and rogue charts require a "
+                          "plane-wave background")
+    if background.d1 == 0 or background.d2 == 0:
+        raise ConfigError("breather and rogue charts need nonzero "
+                          "plane-wave amplitudes d1, d2")
+    return background
+
+
+CHART_KINDS = {"zero": ZeroSeedChart, "breather": BreatherChart,
+               "rogue": RogueChart}
+
+
+def spec_from_json(spec) -> tuple:
+    """(background, DtConfig, profile, grid) of a run spec, checked:
+
+    {"seed": "zero" | {"a1":..,"a2":..,"b1":..,"b2":..,"d1":..,"d2":..},
+     "profile": "linear"|"quadratic"|"cubic"|"sine",
+     "grid": {"x":[min,max,n], "y":[min,max,n], "t": value},
+     "charts": [{"kind": "zero"|"breather"|"rogue", "lam": [re, im], ..}]}
+
+    Seed and grid values are JSON numbers.  A chart's other keys are its
+    class's field names (h1, h2, l1-l3, shifts, multiplicity), complex
+    values [re, im] pairs; "lam": "critical" is the root of S on the seed.
+    """
+    if not isinstance(spec, dict) or set(spec) != _SPEC_KEYS:
+        raise ConfigError(f"a run spec has the keys {sorted(_SPEC_KEYS)}")
+    background = seed_from_json(spec["seed"])
+    charts = []
+    for chart in spec["charts"]:
+        kind = chart.get("kind") if isinstance(chart, dict) else None
+        if kind not in CHART_KINDS:
+            raise ConfigError(f"chart kind must be one of "
+                              f"{sorted(CHART_KINDS)}, got {kind!r}")
+        values = {k: v for k, v in chart.items() if k != "kind"}
+        unknown = set(values) - {f.name for f in fields(CHART_KINDS[kind])}
+        if unknown:
+            raise ConfigError(f"unknown {kind} chart keys: {sorted(unknown)}")
+        for key in ("lam", "h1", "h2"):
+            if isinstance(values.get(key), (list, tuple)):
+                values[key] = complex(*values[key])
+        if values.get("lam") == "critical":
+            seed = _plane_wave(background)
+            values["lam"] = critical_lambda(seed.a1, seed.d1)
+        charts.append(CHART_KINDS[kind](**values))
+    config = DtConfig(charts)
+    check_compat(background, config)
+    return (background, config, profile_from_json(spec["profile"]),
+            grid_from_json(spec["grid"]))
 
 
 def build_triple(chart: SpectralChart, background: SeedBackground,

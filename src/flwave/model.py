@@ -151,30 +151,29 @@ class GridSpec:
         return [self.y_min + j * step for j in range(self.ny)]
 
 
-# -- scenario configuration schema ------------------------------------------
-# {"seed": "zero" | {"a1":..,"a2":..,"b1":..,"b2":..,"d1":..,"d2":..},
-#  "profile": "linear"|"quadratic"|"cubic"|"sine",
-#  "grid": {"x":[min,max,n], "y":[min,max,n], "t": value}}
+# -- JSON readers of the run spec (schema at dt_engine.spec_from_json) -------
 
 _SEED_KEYS = ("a1", "a2", "b1", "b2", "d1", "d2")
+
+
+def _number(value, field: str) -> float:
+    """A JSON number as a float: bools and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the double range
+        raise ConfigError(f"{field} must be finite") from None
 
 
 def seed_from_json(obj) -> SeedBackground:
     if obj == "zero":
         return ZeroBackground()
-    if not isinstance(obj, dict):
-        raise ConfigError('seed must be "zero" or an object with a1..d2')
-    unknown = set(obj) - set(_SEED_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown seed keys: {sorted(unknown)}")
-    missing = [k for k in _SEED_KEYS if k not in obj]
-    if missing:
-        raise ConfigError(f"seed is missing keys: {missing}")
-    try:
-        vals = {k: float(obj[k]) for k in _SEED_KEYS}
-    except (TypeError, ValueError):
-        raise ConfigError("seed values must be numbers") from None
-    return PlaneWaveSeed(**vals)
+    if not (isinstance(obj, dict) and set(obj) == set(_SEED_KEYS)):
+        raise ConfigError(f'seed must be "zero" or an object with the keys '
+                          f'{", ".join(_SEED_KEYS)}, got {obj!r}')
+    return PlaneWaveSeed(**{k: _number(obj[k], f"seed {k}")
+                             for k in _SEED_KEYS})
 
 
 def profile_from_json(obj) -> DeformationProfile:
@@ -186,17 +185,12 @@ def profile_from_json(obj) -> DeformationProfile:
 def grid_from_json(obj) -> GridSpec:
     if not isinstance(obj, dict):
         raise ConfigError("grid must be an object with x, y, t")
-    try:
-        x = obj["x"]
-        y = obj["y"]
-    except KeyError as exc:
-        raise ConfigError(f"grid is missing key {exc.args[0]!r}") from None
-    for name, axis in (("x", x), ("y", y)):
+    for name in ("x", "y"):
+        axis = obj.get(name)
         if not (isinstance(axis, (list, tuple)) and len(axis) == 3):
             raise ConfigError(f"grid {name} must be [min, max, n]")
-    try:
-        vals = [float(v) for v in (*x, *y, obj.get("t", 0.0))]
-    except (TypeError, ValueError):
-        raise ConfigError("grid values must be numbers") from None
-    x0, x1, nx, y0, y1, ny, t = vals
+    names = ("x_min", "x_max", "nx", "y_min", "y_max", "ny", "t")
+    x0, x1, nx, y0, y1, ny, t = (
+        _number(v, f"grid {name}")
+        for name, v in zip(names, (*obj["x"], *obj["y"], obj.get("t", 0.0))))
     return GridSpec(x0, x1, y0, y1, nx, ny, t)

@@ -7,6 +7,7 @@ import pytest
 
 from flwave import BreatherChart, cli
 from flwave.cli import SCENARIOS, main
+from flwave.dt_engine import spec_from_json
 
 ALL_PANELS = (
     [f"fig1{c}" for c in "abcdefgh"]
@@ -125,6 +126,9 @@ def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
     (["rogue", "--seed", "-0.5,-0.5,-1,-1,inf,inf"], "seed d1"),
     (["breather", "--seed", "-1,-1,-1,-2,0,0"], "amplitudes d1, d2"),
     (["rogue", "--seed", "-0.5,-0.5,-1,-1,0,0"], "amplitudes d1, d2"),
+    # the panel's "critical" lambda has no root of S to resolve to here
+    (["rogue", "--seed", "zero"], "require a plane-wave background"),
+    (["hybrid", "--seed", "zero"], "require a plane-wave background"),
 ])
 def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
         tmp_path, capsys, argv, field):
@@ -191,11 +195,42 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
-def test_config_malformed_json_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"],
+                         ids=["malformed", "not-utf8"])
+def test_config_malformed_json_exits_2(tmp_path, capsys, content):
     path = tmp_path / "run.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     rc = main(["breather", "--config", str(path)])
     assert rc == 2
+    assert f"config {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,field", [
+    ({"grid": {"x": [-1, True, 3], "y": [-1, 1, 3]}},
+     "grid x_max must be a number, got True"),
+    ({"seed": {"a1": "-1", "a2": -1, "b1": -1, "b2": -2, "d1": 1, "d2": 1}},
+     "seed a1 must be a number, got '-1'"),
+    # an integer literal past the double range
+    ({"grid": {"x": [-1, 10 ** 400, 3], "y": [-1, 1, 3]}},
+     "grid x_max must be finite"),
+])
+def test_config_value_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
+                                                           cfg, field):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["breather", "--config", str(path), "--format", "csv",
+               "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
+def test_config_grid_that_is_not_an_object_exits_2_under_t(tmp_path, capsys):
+    # --t edits a field of the config's grid
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"grid": [-1, 1, 3]}))
+    rc = main(["breather", "--config", str(path), "--t", "1"])
+    assert rc == 2
+    assert "grid must be an object" in capsys.readouterr().err
 
 
 def test_excess_mult_values_exit_2(tmp_path, capsys):
@@ -354,6 +389,8 @@ def test_scenario_pool_uses_the_cpus_the_process_may_run_on(monkeypatch,
     ["rogue", "--mult", "1", "--shift", "2,100,0"],
     # rejected before a table of a million entries is built
     ["rogue", "--shift", "1000000,1,0"],
+    ["rogue", "--shift", "nan,1,0"],
+    ["rogue", "--shift", "inf,1,0"],
 ])
 def test_shift_past_the_rogue_order_exits_2(tmp_path, capsys, argv):
     rc = main(argv + ["--grid", "-1,1,3,-1,1,3", "--format", "csv",
@@ -367,3 +404,10 @@ def test_shift_within_the_rogue_order_runs(tmp_path):
                "--grid", "-1,1,3,-1,1,3", "--format", "csv",
                "--out", str(tmp_path / "r")])
     assert rc == 0
+
+
+def test_panel_specs_read_back_from_json_are_the_registry():
+    for name, s in SCENARIOS.items():
+        spec = json.loads(json.dumps(cli._panel_spec(name)))
+        assert spec_from_json(spec) \
+            == (s.background, s.charts, s.profile, s.grid), name

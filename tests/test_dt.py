@@ -29,7 +29,7 @@ from flwave import (
     solve,
     zero_seed_eigenfunction,
 )
-from flwave.dt_engine import build_triple
+from flwave.dt_engine import build_triple, spec_from_json
 from flwave.errors import ConfigError, SingularPointError
 
 SEED_B = PlaneWaveSeed(-1, -1, -1, -2, 1, 1)
@@ -337,3 +337,27 @@ def test_exponent_overflow_raises():
     with pytest.raises(SingularPointError, match="exp argument real part"):
         evaluate_solution(SEED_B, cfg, DeformationProfile.CUBIC,
                           (0.0, -12.0, 2.0))
+
+
+@pytest.mark.parametrize("chart,match", [
+    ({"kind": "positon", "lam": [1, 1]}, "chart kind must be one of"),
+    ({"kind": "zero", "lam": [1, 1], "l1": 0.0},
+     r"unknown zero chart keys: \['l1'\]"),
+])
+def test_spec_rejects_unknown_chart_kind_and_key(chart, match):
+    spec = {"seed": "zero", "profile": "linear", "charts": [chart],
+            "grid": {"x": [-1, 1, 3], "y": [-1, 1, 3]}}
+    with pytest.raises(ConfigError, match=match):
+        spec_from_json(spec)
+
+
+def test_spec_critical_lambda_is_the_root_of_S_on_its_seed():
+    seed = {"a1": -0.5, "a2": -0.5, "b1": -1, "b2": -1, "d1": 1, "d2": 1}
+    spec = {"seed": seed, "profile": "linear",
+            "grid": {"x": [-1, 1, 3], "y": [-1, 1, 3]},
+            "charts": [{"kind": "rogue", "lam": "critical"},
+                       {"kind": "breather", "lam": [0.5, 0.5], "h1": [1, 2]}]}
+    background, config, _, _ = spec_from_json(spec)
+    assert background == SEED_R
+    assert config == DtConfig((RogueChart(LAM_CRIT),
+                               BreatherChart(0.5 + 0.5j, h1=1 + 2j)))
