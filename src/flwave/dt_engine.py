@@ -9,26 +9,39 @@ two determinant ratios det Omega_2 / det Omega_1 and det Omega_3 /
 det Omega_1.  Omega_2 and Omega_3 are Omega_1 with column 3N-2 or 3N-1
 replaced by one vector r, so by Cramer's rule the ratios are entries
 3N-2 and 3N-1 of the solution z of Omega_1 z = r: one refined solve per
-point gives both.  spec_from_json reads a whole run (seed, profile, grid
-and charts) from its JSON form.
+point gives both.
+
+Points are evaluated CHUNK at a time: their jets are arrays with one
+column per point, Omega_1 is a (P, 3N, 3N) stack, and one stacked solve
+refines them all.  A point's value does not depend on the chunk it is
+in.  evaluate_solution, assemble_system, build_triple and the sampler's
+one-point call are the one-point faces of the same code.  spec_from_json
+reads a whole run (seed, profile, grid and charts) from its JSON form.
 """
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConfigError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
-                    ZeroBackground, background_field, grid_from_json,
+                    ZeroBackground, _number, background_field, grid_from_json,
                     profile_from_json, seed_from_json)
-from .numerics import Jet, SquareMatrix, jet_div, jet_mul, solve
+from .numerics import (GAP_REASONS, NON_FINITE, OVERFLOW, Jet, SquareMatrix,
+                       jet_div, jet_mul, series_mul, solve_stack,
+                       toeplitz)
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
-                       ZeroSeedChart, breather_eigenfunction, critical_lambda,
-                       rogue_eigenfunction_jet, zero_seed_eigenfunction)
+                       ZeroSeedChart, _one_point, _one_triple, breather_jets,
+                       critical_lambda, rogue_jets, zero_seed_jets)
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
+# points per evaluation chunk: larger chunks buy little speed and cost
+# peak memory (the refinement's temporaries grow with it)
+CHUNK = 64
 _SPEC_KEYS = {"seed", "profile", "grid", "charts"}
 
 
@@ -60,6 +73,8 @@ class DtConfig:
 
 @dataclass(frozen=True)
 class FieldSample:
+    """The two fields at a point; arrays of them from a many-point call."""
+
     q1: complex
     q2: complex
 
@@ -72,7 +87,8 @@ def _jet_power(chart: SpectralChart) -> int:
 
 @lru_cache(maxsize=None)
 def _power_jets(lam: complex, order: int, power: int, n_folds: int):
-    """lambda^m as jets for every exponent the column ladder uses."""
+    """lambda^m as jets for m = -N..N, the exponents the column ladder
+    uses: row m + N of a (2N+1, order+1) array, and their Toeplitz rows."""
     one = Jet.constant(1.0, order)
     lam_jet = Jet.variable(lam, order, power)
     pows = {0: one, 1: lam_jet}
@@ -82,36 +98,118 @@ def _power_jets(lam: complex, order: int, power: int, n_folds: int):
     pows[-1] = inv
     for m in range(-2, -n_folds - 1, -1):
         pows[m] = jet_mul(pows[m + 1], inv)
-    return pows
+    out = np.array([pows[m].coeffs for m in range(-n_folds, n_folds + 1)])
+    out.flags.writeable = False
+    return out, toeplitz(out)
+
+
+@lru_cache(maxsize=None)
+def _layout(config: DtConfig, paired: tuple):
+    """Where each entry of [Omega_1 | r] comes from, as three (3N, 3N+1)
+    tables: a row of the stacked sources, whether to conjugate it, and
+    whether to negate it.
+
+    Each chart stacks three blocks of (2N+1) x (order+1) rows:
+    lambda^m * phi1, lambda^m * phi2, and lambda^m * phi3, or lambda^m
+    itself where the chart's phi3 is its phi2.  One zero row ends the
+    stack.
+    """
+    n = config.folds
+    dim = 3 * n
+    block_rows = []
+    offset = 0
+    for chart, pair in zip(config.charts, paired):
+        power = _jet_power(chart)
+        k = power * chart.multiplicity + 1
+        block = (2 * n + 1) * k
+
+        def at(comp, m, c, offset=offset, block=block, k=k):
+            return offset + comp * block + (m + n) * k + c
+
+        for deriv in range(chart.multiplicity + 1):
+            c = deriv * power
+            base, comp2, comp3 = {}, {}, {}
+            for j in range(n):
+                m1 = n - 2 * j
+                m23 = n - 1 - 2 * j
+                base[3 * j] = (at(0, m1, c), False, False)
+                base[3 * j + 1] = (at(1, m23, c), False, False)
+                base[3 * j + 2] = (at(1 if pair else 2, m23, c), False, False)
+                comp2[3 * j] = (at(1, m1, c), True, True)
+                comp2[3 * j + 1] = (at(0, m23, c), True, False)
+                if pair:
+                    comp3[3 * j + 1] = (at(2, m23, c), True, True)
+                    comp3[3 * j + 2] = (at(2, m23, c), True, False)
+                else:
+                    comp3[3 * j] = (at(2, m1, c), True, True)
+                    comp3[3 * j + 2] = (at(0, m23, c), True, False)
+            base[dim] = (at(0, -n, c), False, True)
+            comp2[dim] = (at(1, -n, c), True, False)
+            if not pair:
+                comp3[dim] = (at(2, -n, c), True, False)
+            block_rows += [base, comp2, comp3]
+        offset += 3 * block
+    zero = (offset, False, False)
+    table = np.array([[row.get(col, zero) for col in range(dim + 1)]
+                      for row in block_rows], dtype=object)
+    out = (table[..., 0].astype(np.intp), table[..., 1].astype(bool),
+           table[..., 2].astype(bool))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _assemble(config: DtConfig, phis):
+    """(Omega_1, r) stacks, (P, 3N, 3N) and (P, 3N), from each chart's
+    point jets (phi1, phi2, phi3), of order power * multiplicity."""
+    n = config.folds
+    width = phis[0][0].shape[1]
+    sources = []
+    for chart, (phi1, phi2, phi3) in zip(config.charts, phis):
+        pows, rows = _power_jets(chart.lam, phi1.shape[0] - 1,
+                                 _jet_power(chart), n)
+        # lambda^m * phi_j for every m, each coefficient of which is one
+        # derivative row's entry
+        if phi3 is phi2:
+            sources += list(series_mul(rows, np.array([phi1, phi2])[:, None]))
+            sources.append(np.repeat(pows[..., None], width, axis=-1))
+        else:
+            sources += list(series_mul(
+                rows, np.array([phi1, phi2, phi3])[:, None]))
+    src = np.concatenate([a.reshape(-1, width) for a in sources]
+                         + [np.zeros((1, width), complex)])
+    idx, conj, neg = _layout(config, tuple(p[2] is p[1] for p in phis))
+    g = src.T[:, idx]
+    np.conjugate(g, out=g, where=conj)
+    np.negative(g, out=g, where=neg)
+    return g[..., :-1], g[..., -1]
 
 
 def assemble_system(config: DtConfig, triples):
-    """Build (Omega_1, r) from per-chart eigenfunction jets.
+    """Build (Omega_1, r) from per-chart eigenfunction jets: the one-point
+    face of the batched assembly.
 
     Column ladder: phi1 columns at lambda exponents N, N-2, ..., -(N-2) and
     (phi2, phi3) pairs at N-1, N-3, ..., -(N-1), interleaved in descending
     order.  The replacement vector r has, on every row, -mu^-N times the
     row's first component, mu being that row's eigenvalue.
 
-    When a chart has phi2 == phi3 coefficientwise, its second companion
-    rows are replaced by (comp3 - comp2) / phi1*, which collapses to pure
-    conjugated lambda powers.  That row combination rescales every
-    determinant by the same triangular factor (and r with Omega_1), so
-    both ratios are unchanged, while the spurious rank drop at nodes of
-    phi1 (the center of a rogue wave, where the faithful rows make 0/0)
-    disappears.
+    When a chart's phi3 is its phi2 (the same jet: zero-seed and rogue
+    charts, and breathers with l1 = 0 whose two phases agree), its second
+    companion rows are replaced by (comp3 - comp2) / phi1*, which
+    collapses to pure conjugated lambda powers.  That row combination
+    rescales every determinant by the same triangular factor (and r with
+    Omega_1), so both ratios are unchanged, while the spurious rank drop
+    at nodes of phi1 (the center of a rogue wave, where the faithful rows
+    make 0/0) disappears.
     """
     charts = config.charts
     if len(triples) != len(charts):
         raise ConfigError(
             f"{len(charts)} charts but {len(triples)} eigenfunction triples")
-    n = config.folds
-    dim = 3 * n
-    rows: list[list[complex]] = []
-    repl: list[complex] = []
+    phis = []
     for chart, triple in zip(charts, triples):
-        power = _jet_power(chart)
-        need = power * chart.multiplicity
+        need = _jet_power(chart) * chart.multiplicity
         order = triple.phi1.order
         if triple.phi2.order != order or triple.phi3.order != order:
             raise ConfigError("eigenfunction components have mixed jet orders")
@@ -119,38 +217,13 @@ def assemble_system(config: DtConfig, triples):
             raise ConfigError(
                 f"chart at lambda={chart.lam!r} needs jet order >= {need}, "
                 f"got {order}")
-        pows = _power_jets(chart.lam, order, power, n)
-        # products lambda^m * phi_j, reused by every derivative row; base
-        # rows consume one parity of m, companion rows the other
-        p1 = {m: jet_mul(pows[m], triple.phi1) for m in range(-n, n + 1)}
-        p2 = {m: jet_mul(pows[m], triple.phi2) for m in range(-n, n + 1)}
-        paired = triple.phi2.coeffs == triple.phi3.coeffs
-        p3 = p2 if paired else {m: jet_mul(pows[m], triple.phi3)
-                                for m in range(-n, n + 1)}
-        for deriv in range(chart.multiplicity + 1):
-            c = deriv * power
-            base = [0j] * dim
-            comp2 = [0j] * dim
-            comp3 = [0j] * dim
-            for k in range(n):
-                m1 = n - 2 * k
-                m23 = n - 1 - 2 * k
-                base[3 * k] = p1[m1].coeffs[c]
-                base[3 * k + 1] = p2[m23].coeffs[c]
-                base[3 * k + 2] = p3[m23].coeffs[c]
-                comp2[3 * k] = -p2[m1].coeffs[c].conjugate()
-                comp2[3 * k + 1] = p1[m23].coeffs[c].conjugate()
-                if paired:
-                    comp3[3 * k + 1] = -pows[m23].coeffs[c].conjugate()
-                    comp3[3 * k + 2] = pows[m23].coeffs[c].conjugate()
-                else:
-                    comp3[3 * k] = -p3[m1].coeffs[c].conjugate()
-                    comp3[3 * k + 2] = p1[m23].coeffs[c].conjugate()
-            rows.extend((base, comp2, comp3))
-            repl.append(-p1[-n].coeffs[c])
-            repl.append(p2[-n].coeffs[c].conjugate())
-            repl.append(0j if paired else p3[-n].coeffs[c].conjugate())
-    return SquareMatrix(rows), repl
+        # coefficient c of a product needs only coefficients up to c
+        phi1, phi2, phi3 = (np.array(jet.coeffs[:need + 1])[:, None]
+                            for jet in (triple.phi1, triple.phi2, triple.phi3))
+        phis.append((phi1, phi2,
+                     phi2 if triple.phi3 is triple.phi2 else phi3))
+    omega1, r = _assemble(config, phis)
+    return SquareMatrix(omega1[0].tolist()), r[0].tolist()
 
 
 def check_compat(background: SeedBackground, config: DtConfig):
@@ -184,77 +257,167 @@ def spec_from_json(spec) -> tuple:
      "grid": {"x":[min,max,n], "y":[min,max,n], "t": value},
      "charts": [{"kind": "zero"|"breather"|"rogue", "lam": [re, im], ..}]}
 
-    Seed and grid values are JSON numbers.  A chart's other keys are its
-    class's field names (h1, h2, l1-l3, shifts, multiplicity), complex
-    values [re, im] pairs; "lam": "critical" is the root of S on the seed.
+    Seed and grid values are JSON numbers.  A chart needs "lam"; its other
+    keys are its class's field names: h1 and h2 as [re, im] pairs, l1-l3
+    numbers, shifts a list of [v, w] pairs, multiplicity a whole number.
+    "lam": "critical" is the root of S on the seed.  A bad chart value is
+    a ConfigError naming the chart's index and the key.
     """
     if not isinstance(spec, dict) or set(spec) != _SPEC_KEYS:
         raise ConfigError(f"a run spec has the keys {sorted(_SPEC_KEYS)}")
     background = seed_from_json(spec["seed"])
-    charts = []
-    for chart in spec["charts"]:
-        kind = chart.get("kind") if isinstance(chart, dict) else None
-        if kind not in CHART_KINDS:
-            raise ConfigError(f"chart kind must be one of "
-                              f"{sorted(CHART_KINDS)}, got {kind!r}")
-        values = {k: v for k, v in chart.items() if k != "kind"}
-        unknown = set(values) - {f.name for f in fields(CHART_KINDS[kind])}
-        if unknown:
-            raise ConfigError(f"unknown {kind} chart keys: {sorted(unknown)}")
-        for key in ("lam", "h1", "h2"):
-            if isinstance(values.get(key), (list, tuple)):
-                values[key] = complex(*values[key])
-        if values.get("lam") == "critical":
-            seed = _plane_wave(background)
-            values["lam"] = critical_lambda(seed.a1, seed.d1)
-        charts.append(CHART_KINDS[kind](**values))
+    if not isinstance(spec["charts"], (list, tuple)):
+        raise ConfigError("charts must be a list of chart objects")
+    charts = [_chart_from_json(i, chart, background)
+              for i, chart in enumerate(spec["charts"])]
     config = DtConfig(charts)
     check_compat(background, config)
     return (background, config, profile_from_json(spec["profile"]),
             grid_from_json(spec["grid"]))
 
 
-def build_triple(chart: SpectralChart, background: SeedBackground,
-                 profile: DeformationProfile, point) -> EigenTriple:
+def _pair(value, what: str) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
+    return tuple(_number(v, what) for v in value)
+
+
+def _chart_from_json(i: int, chart, background: SeedBackground):
+    kind = chart.get("kind") if isinstance(chart, dict) else None
+    if kind not in CHART_KINDS:
+        raise ConfigError(f"chart kind must be one of "
+                          f"{sorted(CHART_KINDS)}, got {kind!r}")
+    values = {k: v for k, v in chart.items() if k != "kind"}
+    unknown = set(values) - {f.name for f in fields(CHART_KINDS[kind])}
+    if unknown:
+        raise ConfigError(f"unknown {kind} chart keys: {sorted(unknown)}")
+    if "lam" not in values:
+        raise ConfigError(f"chart {i} needs lam")
+    for key, value in values.items():
+        what = f"chart {i} {key}"
+        if key == "lam" and value == "critical":
+            seed = _plane_wave(background)
+            values[key] = critical_lambda(seed.a1, seed.d1)
+        elif key in ("lam", "h1", "h2"):
+            values[key] = complex(*_pair(value, what))
+        elif key == "shifts":
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{what} must be a list of [v, w] pairs, "
+                                  f"got {value!r}")
+            values[key] = tuple(_pair(v, f"{what} {j}")
+                                for j, v in enumerate(value))
+        elif key == "multiplicity":
+            k = _number(value, what)
+            if not (math.isfinite(k) and k == int(k)):
+                raise ConfigError(f"{what} must be a whole number, "
+                                  f"got {value!r}")
+            values[key] = int(k)
+        else:  # l1, l2, l3
+            values[key] = _number(value, what)
+    return CHART_KINDS[kind](**values)
+
+
+def eigen_jets(chart: SpectralChart, background: SeedBackground,
+               profile: DeformationProfile, x, y, t):
+    """The chart's eigenfunction jets at many points, of the order its
+    derivative rows need, and where they overflow."""
     order = _jet_power(chart) * chart.multiplicity
     if isinstance(chart, ZeroSeedChart):
-        return zero_seed_eigenfunction(chart, profile, point, order)
+        return zero_seed_jets(chart, profile, x, y, t, order)
     if isinstance(chart, BreatherChart):
-        return breather_eigenfunction(chart, background, profile, point,
-                                      order)
-    return rogue_eigenfunction_jet(chart, background, point, order)
+        return breather_jets(chart, background, profile, x, y, t, order)
+    return rogue_jets(chart, background, x, y, t, order)
+
+
+def build_triple(chart: SpectralChart, background: SeedBackground,
+                 profile: DeformationProfile, point) -> EigenTriple:
+    """eigen_jets at one point, as Jets."""
+    return _one_triple(*eigen_jets(chart, background, profile,
+                                   *_one_point(point)), point)
+
+
+def _evaluate_chunk(background, config, profile, x, y, t):
+    """(q1, q2, why) at up to CHUNK points given as contiguous arrays."""
+    over = np.zeros(len(x), bool)
+    phis = []
+    for chart in config.charts:
+        phi, chart_over = eigen_jets(chart, background, profile, x, y, t)
+        phis.append(phi)
+        over |= chart_over
+    omega1, r = _assemble(config, phis)
+    z, why = solve_stack(omega1, r, over * np.int8(OVERFLOW))
+    q1b, q2b = background_field(background, (x, y, t))
+    q1 = q1b + z[:, -2]
+    q2 = q2b + z[:, -1]
+    finite = np.isfinite(q1) & np.isfinite(q2)
+    if not np.logical_and.reduce(finite):
+        bad = ~finite
+        why[bad & (why == 0)] = NON_FINITE
+        q1[bad] = q2[bad] = np.nan
+    return q1, q2, why
+
+
+def evaluate_points(background: SeedBackground, config: DtConfig,
+                    profile: DeformationProfile, points):
+    """The transformed fields at each of the (P, 3) points (x, y, t).
+
+    Returns complex arrays q1, q2, NaN at gaps, and an int8 array saying
+    why each gap is one (numerics.GAP_REASONS; 0 for a value).  A gap is
+    a point whose exponentials overflow, whose Omega_1 has a zero pivot or
+    a non-finite entry, whose solution or field is not finite, or whose
+    refined solve does not converge.  The points are evaluated CHUNK at a
+    time; each one's value is the same in any chunk.
+    """
+    check_compat(background, config)
+    # one contiguous row per coordinate, as the one-point call has it
+    cols = np.array(np.reshape(np.asarray(points, float), (-1, 3)).T)
+    size = cols.shape[1]
+    q1 = np.empty(size, complex)
+    q2 = np.empty(size, complex)
+    why = np.empty(size, np.int8)
+    with np.errstate(all="ignore"):
+        for s in range(0, size, CHUNK):
+            part = slice(s, s + CHUNK)
+            q1[part], q2[part], why[part] = _evaluate_chunk(
+                background, config, profile, *cols[:, part])
+    return q1, q2, why
 
 
 def evaluate_solution(background: SeedBackground, config: DtConfig,
                       profile: DeformationProfile, point) -> FieldSample:
-    """The transformed fields (q1[N], q2[N]) at one space-time point.
+    """The transformed fields (q1[N], q2[N]) at one space-time point: the
+    one-point face of evaluate_points.
 
-    Raises SingularPointError where the eigenfunction jets overflow,
-    Omega_1 has a zero pivot, an entry or the solution is not finite, or
-    the refined solve does not converge: the point is then a gap, not a
-    value.
+    Raises SingularPointError where that marks a gap.
     """
-    check_compat(background, config)
-    try:
-        triples = [build_triple(chart, background, profile, point)
-                   for chart in config.charts]
-    except OverflowError:  # jet magnitudes beyond the double range
-        raise SingularPointError(
-            f"eigenfunction jets overflow at point {point!r}") from None
-    omega1, r = assemble_system(config, triples)
-    z = solve(omega1, r)
-    q1b, q2b = background_field(background, point)
-    q1 = q1b + z[-2]
-    q2 = q2b + z[-1]
-    if not (cmath.isfinite(q1) and cmath.isfinite(q2)):
-        raise SingularPointError(
-            f"non-finite field value at point {point!r}")
-    return FieldSample(q1, q2)
+    q1, q2, why = evaluate_points(background, config, profile, [point])
+    if why[0]:
+        raise SingularPointError(f"{GAP_REASONS[why[0]]} at point {point!r}")
+    return FieldSample(complex(q1[0]), complex(q2[0]))
+
+
+@dataclass(frozen=True)
+class FieldSampler:
+    """The fields of one transformation, sampled at one or many points."""
+
+    background: SeedBackground
+    config: DtConfig
+    profile: DeformationProfile
+
+    def __call__(self, points) -> FieldSample:
+        """At one point (x, y, t), its FieldSample (SingularPointError at a
+        gap).  At a (P, 3) array of points, one FieldSample of two complex
+        arrays, NaN at gaps."""
+        if np.ndim(points) == 2:
+            q1, q2, _ = evaluate_points(self.background, self.config,
+                                        self.profile, points)
+            return FieldSample(q1, q2)
+        return evaluate_solution(self.background, self.config, self.profile,
+                                 points)
 
 
 def solution_sampler(background: SeedBackground, config: DtConfig,
-                     profile: DeformationProfile):
-    """Point -> FieldSample closure for the verification and search tools."""
-    def sampler(point) -> FieldSample:
-        return evaluate_solution(background, config, profile, point)
-    return sampler
+                     profile: DeformationProfile) -> FieldSampler:
+    """Point -> FieldSample callable for the verification and search
+    tools; it also takes many points at once."""
+    return FieldSampler(background, config, profile)

@@ -1,22 +1,23 @@
 """Dense grid evaluation, structured export, and heatmap rendering.
 
-Grids are row-major with y as the outer axis and x fastest.  The same
-row blocks are evaluated in this process or on a process pool, both in
-block order, so a pooled grid is bitwise identical to a serial one.  The
-CSV and binary exports are both written from one node table.
+Grids are row-major with y as the outer axis and x fastest.  The nodes
+are evaluated in CHUNK-point pieces of that order, in this process or on
+a process pool that starts at most one process per chunk; a node's value
+does not depend on its chunk, so a pooled grid is bitwise identical to a
+serial one.  The CSV and binary exports are both written from one node
+table.
 """
 from __future__ import annotations
 
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .dt_engine import DtConfig, evaluate_solution
-from .errors import ConfigError, SingularPointError
+from .dt_engine import CHUNK, DtConfig, evaluate_points
+from .errors import ConfigError
 from .model import DeformationProfile, GridSpec, SeedBackground
 
 CSV_HEADER = "x,y,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"
@@ -65,39 +66,42 @@ class FieldGrid:
         return int(np.count_nonzero(self.mask))
 
 
-def _eval_rows(background, config, profile, spec, rows):
-    """The (q1, q2) block of the grid rows j in `rows`, of shape
-    (len(rows), nx, 2); the worker entry point.  A singular node, one
-    whose exponentials overflow included, is NaN."""
-    xs = spec.xs()
-    ys = spec.ys()
-    block = np.full((len(rows), len(xs), 2), complex("nan"))
-    for r, j in enumerate(rows):
-        for i, x in enumerate(xs):
-            try:
-                s = evaluate_solution(background, config, profile,
-                                      (x, ys[j], spec.t))
-            except SingularPointError:
-                continue
-            block[r, i] = s.q1, s.q2
-    return block
+def _eval_nodes(background, config, profile, spec, span):
+    """(q1, q2) of the grid nodes span[0] <= k < span[1] in row-major
+    order; the worker entry point.  A gap is NaN."""
+    xs = np.array(spec.xs())
+    ys = np.array(spec.ys())
+    k = np.arange(*span)
+    points = np.column_stack([xs[k % spec.nx], ys[k // spec.nx],
+                              np.full(k.size, spec.t)])
+    q1, q2, _ = evaluate_points(background, config, profile, points)
+    return q1, q2
 
 
 def evaluate_grid(background: SeedBackground, config: DtConfig,
                   profile: DeformationProfile, spec: GridSpec,
                   workers: int = 1) -> FieldGrid:
-    """Every node of the grid, on `workers` processes when more than one."""
-    chunk = max(1, spec.ny // (workers * 4))
-    blocks = [range(j, min(j + chunk, spec.ny))
-              for j in range(0, spec.ny, chunk)]
-    run = partial(_eval_rows, background, config, profile, spec)
-    if workers <= 1:
-        parts = list(map(run, blocks))
+    """Every node of the grid, on up to `workers` processes but never more
+    than one per chunk, and in this process when that is one."""
+    size = spec.nx * spec.ny
+    chunks = -(-size // CHUNK)
+    procs = min(workers, chunks)
+    run = partial(_eval_nodes, background, config, profile, spec)
+    if procs <= 1:
+        q1, q2 = run((0, size))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, blocks))
-    q1, q2 = np.concatenate(parts).transpose(2, 0, 1).copy()
-    # NaN marks exactly the gaps: evaluate_solution never returns one
+        # imported here, as its ~20 ms import buys nothing for a grid that
+        # runs in this process
+        from concurrent.futures import ProcessPoolExecutor
+        # CHUNK-aligned spans, about four per process
+        per = CHUNK * -(-chunks // (procs * 4))
+        spans = [(s, min(s + per, size)) for s in range(0, size, per)]
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            parts = list(pool.map(run, spans))
+        q1, q2 = (np.concatenate(p) for p in zip(*parts))
+    shape = (spec.ny, spec.nx)
+    q1, q2 = q1.reshape(shape), q2.reshape(shape)
+    # NaN marks exactly the gaps: a value is never NaN
     return FieldGrid(spec=spec, q1=q1, q2=q2, mask=np.isnan(q1))
 
 

@@ -7,12 +7,14 @@ stored seed cannot violate the dispersion relations.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError
+from .numerics import polar
 
 
 def dispersion_relation(a1: float, a2: float, b1: float, b2: float,
@@ -77,9 +79,10 @@ SeedBackground = ZeroBackground | PlaneWaveSeed
 
 
 def plane_wave_field(seed: PlaneWaveSeed, point) -> tuple[complex, complex]:
+    """The seed at one point, or at many when x, y, t are arrays."""
     x, y, t = point
     th1, th2 = seed.theta(x, y, t)
-    return seed.d1 * cmath.exp(1j * th1), seed.d2 * cmath.exp(1j * th2)
+    return polar(seed.d1, th1), polar(seed.d2, th2)
 
 
 def background_field(background: SeedBackground, point) -> tuple[complex, complex]:
@@ -106,14 +109,15 @@ class DeformationProfile(enum.Enum):
                 f"unknown profile {name!r} (choices: {choices})") from None
 
 
-def profile_eval(p: DeformationProfile, s: float) -> float:
+def profile_eval(p: DeformationProfile, s):
+    """f(s) for a float or an array of s."""
     if p is DeformationProfile.LINEAR:
         return s
     if p is DeformationProfile.QUADRATIC:
         return s * s
     if p is DeformationProfile.CUBIC:
         return s * s * s
-    return math.sin(s)
+    return np.sin(s)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,26 @@
-"""Truncated power-series (jet) arithmetic and small complex linear algebra.
+"""Truncated power-series (jet) arithmetic and stacked complex linear algebra.
 
 Jets carry the lambda-derivative information that the generalized Darboux
 rows consume: a jet of order n is the tuple of coefficients of
-eps^0 .. eps^n, and every operation is exact modulo eps^(n+1).  Small
-dense complex matrices are factored by partially pivoted LU after
-power-of-two equilibration; the one factorization gives determinants and
-linear solves, and a solve is refined against exactly computed residuals.
+eps^0 .. eps^n, and every operation is exact modulo eps^(n+1).  The
+static jets of a chart are `Jet` values; the jets of many points at once
+are complex arrays of shape (order + 1, P), one column per point.
+
+Products along the point axis are formed from real and imaginary parts:
+numpy's complex `*` picks a loop by array layout, and the loops round
+differently, so a point's value would depend on the chunk it came in.
+
+A stack of small systems is equilibrated by powers of two and solved by
+one stacked LAPACK call; each solution is refined against residuals
+computed with error-free transformations (Dekker's TwoProd, Knuth's
+TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).
 """
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import ConfigError, SingularPointError
 
@@ -18,8 +28,17 @@ from .errors import ConfigError, SingularPointError
 # when locating the leading term of a series
 ZERO_COEFF_RATIO = 1e-12
 
-# cmath.exp overflows just above exp(709.78)
-_EXP_ARG_LIMIT = 709.0
+# exp overflows just above exp(709.78); an argument past this is a gap
+EXP_ARG_LIMIT = 709.0
+
+# why a sample is a gap; 0 means it is a value
+OVERFLOW, NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE = 1, 2, 3, 4
+GAP_REASONS = {
+    OVERFLOW: "exp argument real part overflows",
+    NON_FINITE: "non-finite matrix, right-hand side or result",
+    ZERO_PIVOT: "zero pivot: the matrix is singular",
+    NO_CONVERGENCE: "iterative refinement did not converge",
+}
 
 
 class Jet:
@@ -139,22 +158,6 @@ class Jet:
                 f"cannot extend a jet of order {self.order} to {order}")
         return Jet(self.coeffs[: order + 1])
 
-    def shifted_down(self, k: int) -> "Jet":
-        """Divide by eps^k.  The k lowest coefficients must be zero up to the
-        relative floor; the result is k orders shorter."""
-        if k == 0:
-            return self
-        if k > self.order:
-            raise ConfigError(
-                f"cannot shift a jet of order {self.order} down by {k}")
-        scale = max(abs(c) for c in self.coeffs)
-        tol = ZERO_COEFF_RATIO * scale
-        for c in self.coeffs[:k]:
-            if abs(c) > tol:
-                raise ConfigError(
-                    f"shift down by {k} hits a nonzero coefficient {c!r}")
-        return Jet(self.coeffs[k:])
-
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the shared order."""
@@ -189,22 +192,13 @@ def jet_div(a: Jet, b: Jet) -> Jet:
 
 
 def jet_exp(a: Jet) -> Jet:
-    """exp of a jet: scalar exp of the constant term times the Maclaurin
-    series of the nilpotent tail, via the recurrence e' = e * a'."""
+    """exp of a jet: the one-point face of series_exp."""
     a0 = a.coeffs[0]
-    if a0.real > _EXP_ARG_LIMIT:
+    if a0.real > EXP_ARG_LIMIT:
         raise SingularPointError(
             f"exp argument real part {a0.real:.6g} overflows")
-    e0 = cmath.exp(a0)
-    n = len(a.coeffs)
-    e = [0j] * n
-    e[0] = e0
-    for k in range(1, n):
-        s = 0j
-        for j in range(1, k + 1):
-            s += j * a.coeffs[j] * e[k - j]
-        e[k] = s / k
-    return Jet(e)
+    e, _ = series_exp(np.array(a.coeffs)[:, None])
+    return Jet(e[:, 0])
 
 
 def jet_sqrt_even(a: Jet) -> Jet:
@@ -247,7 +241,95 @@ def jet_sqrt_even(a: Jet) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra: one LU factorization behind det and the refined solve
+# jets of many points: complex arrays of shape (order + 1, P)
+# ---------------------------------------------------------------------------
+
+
+def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex a * b with broadcasting, rounded as Python's
+    complex product is, whatever the layout."""
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def rmul(a: np.ndarray, r) -> np.ndarray:
+    """Complex a times real r, part by part."""
+    re = a.real * r
+    out = np.empty(re.shape, complex)
+    out.real = re
+    out.imag = a.imag * r
+    return out
+
+
+def polar(r, th):
+    """r exp(i th) for real r and angles th, from cos and sin; a complex
+    scalar for a float th, an array for an array."""
+    c = np.cos(th)
+    out = np.empty(c.shape, complex)
+    out.real = r * c
+    out.imag = r * np.sin(th)
+    return out[()]
+
+
+def toeplitz(s: np.ndarray) -> np.ndarray:
+    """The Toeplitz rows of static jets s (..., K), read-only:
+    t[..., n, j] = s[..., n - j] for j <= n, else 0."""
+    n, j = np.indices(s.shape[-1:] * 2)
+    t = np.where(j <= n, s[..., np.maximum(n - j, 0)], 0)
+    t.flags.writeable = False
+    return t
+
+
+def series_mul(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Cauchy products of static jets, given by their Toeplitz rows t
+    (..., K, K), with point jets phi (..., K, P), leading axes broadcast:
+    (..., K, P).
+
+    Coefficient n adds t[n, j] * phi[j] for j = n down to 0, the order in
+    which jet_mul adds them.  Products above the diagonal are never added,
+    so a non-finite high coefficient of phi cannot reach a lower one.
+    """
+    k = phi.shape[-2]
+    terms = cmul(t[..., None], phi[..., None, :, :])
+    out = np.zeros(terms.shape[:-3] + terms.shape[-2:], complex)
+    for j in range(k - 1, -1, -1):
+        out[..., j:, :] += terms[..., j:, j, :]
+    return out
+
+
+def series_exp(a: np.ndarray):
+    """exp of point jets a (..., K, P), and which points overflow (any
+    leading index), shape (P,).
+
+    The constant term is exp(re) (cos im + i sin im); the others follow
+    from the recurrence e' = e * a'.  A point whose argument has a real
+    part above EXP_ARG_LIMIT is flagged and its values are meaningless.
+    """
+    k = a.shape[-2]
+    e = np.empty_like(a)
+    # contiguous inputs, so that every width takes the same exp/cos/sin loop
+    re = np.ascontiguousarray(a[..., 0, :].real)
+    im = np.ascontiguousarray(a[..., 0, :].imag)
+    r = np.exp(re)
+    e[..., 0, :].real = r * np.cos(im)
+    e[..., 0, :].imag = r * np.sin(im)
+    ja = rmul(a[..., 1:, :], np.arange(1.0, k)[:, None]) if k > 1 else None
+    for n in range(1, k):
+        terms = cmul(ja[..., :n, :], e[..., n - 1::-1, :])
+        acc = terms[..., 0, :]
+        for i in range(1, n):
+            acc = acc + terms[..., i, :]
+        e[..., n, :].real = acc.real / n
+        e[..., n, :].imag = acc.imag / n
+    over = re > EXP_ARG_LIMIT
+    return e, np.logical_or.reduce(over.reshape(-1, over.shape[-1]))
+
+
+# ---------------------------------------------------------------------------
+# stacked linear algebra: equilibration, LAPACK, refinement
 # ---------------------------------------------------------------------------
 
 # refinement stops once the last correction is this small next to z
@@ -271,209 +353,205 @@ class SquareMatrix:
         self.rows = rows
 
 
-def _pow2_exponent(m: float) -> int:
-    """p with 2^p nearest m > 0 (ties toward the larger power), kept where
-    2^-p is a normal double so that scaling by it is exact."""
-    f, e = math.frexp(m)  # m = f * 2^e, f in [0.5, 1)
-    p = e if f >= 0.75 else e - 1
-    return min(max(p, -1022), 1022)
+def _magnitude(c: np.ndarray) -> np.ndarray:
+    """max(|re|, |im|): exact, and finite wherever c is."""
+    return np.maximum(np.abs(c.real), np.abs(c.imag))
 
 
-def _magnitude(values) -> float:
-    """Largest |c|, or largest max(|re|, |im|) where a modulus overflows."""
+def _pow2_exponents(m: np.ndarray) -> np.ndarray:
+    """p with m = f * 2^p, f in [0.5, 1) (0 where m is 0), kept where 2^-p
+    is a normal double so that scaling by it is exact."""
+    return np.minimum(np.maximum(np.frexp(m)[1], -1022), 1022)
+
+
+def _equilibrate(a: np.ndarray):
+    """Scale the rows, then the columns, of each matrix of a (P, n, n)
+    stack by powers of two, so that each one's largest entry lands in
+    [0.5, 1).
+
+    Returns the scaled stack, the row and column exponents (entry (i, j)
+    is divided by 2**(row[i] + col[j]), exactly) and whether each
+    matrix's entries are all finite.
+    """
+    mag = _magnitude(a)
+    row_mag = np.maximum.reduce(mag, axis=2)
+    row = _pow2_exponents(row_mag)
+    rs = np.ldexp(1.0, -row)[:, :, None]
+    col = _pow2_exponents(np.maximum.reduce(mag * rs, axis=1))
+    cs = np.ldexp(1.0, -col)[:, None, :]
+    out = np.empty_like(a)
+    # two steps, as a single factor 2**-(row + col) could overflow
+    out.real = a.real * rs * cs
+    out.imag = a.imag * rs * cs
+    finite = np.logical_and.reduce(np.isfinite(row_mag), axis=1)
+    return out, row, col, finite
+
+
+def _lapack_solve(a: np.ndarray, b: np.ndarray):
+    """x with a x = b for each system of the stack, and which systems met
+    a zero pivot (None when none did; their x is NaN).  A singular matrix
+    fails a stacked call as a whole, so that stack is then solved one
+    system at a time; each system's result is the same either way."""
     try:
-        return max(map(abs, values))
-    except OverflowError:
-        return max(max(abs(c.real), abs(c.imag)) for c in values)
+        # b as (P, n, 1): numpy 2 reads a (P, n) right-hand side otherwise
+        return np.linalg.solve(a, b[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full(b.shape, np.nan, complex)
+    singular = np.zeros(len(a), bool)
+    for p in range(len(a)):
+        try:
+            x[p] = np.linalg.solve(a[p:p + 1], b[p:p + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[p] = True
+    return x, singular
 
 
-def _equilibrate(rows):
-    """Scale rows then columns by powers of two near their largest entry.
-
-    Returns the scaled copy and the row and column exponents: entry (i, j)
-    is divided by 2**(row[i] + col[j]).  Powers of two make the scaling
-    exact.
-    """
-    work = []
-    row_exp = []
-    for r in rows:
-        m = _magnitude(r)
-        p = _pow2_exponent(m) if m else 0
-        row_exp.append(p)
-        s = 2.0 ** -p
-        work.append([c * s for c in r])
-    col_exp = []
-    for j, col in enumerate(zip(*work)):
-        m = _magnitude(col)
-        p = _pow2_exponent(m) if m else 0
-        col_exp.append(p)
-        if p:
-            s = 2.0 ** -p
-            for r in work:
-                r[j] *= s
-    return work, row_exp, col_exp
+def _split(v: np.ndarray):
+    """Dekker's split v = hi + lo, each with at most 26 significant bits."""
+    t = _SPLITTER * v
+    hi = t - (t - v)
+    return hi, v - hi
 
 
-def _lu(work):
-    """Partially pivoted LU of a mutable row list, in place.
-
-    Afterwards row i of ``work`` holds row perm[i] of the input, factored:
-    U on and above the diagonal, L's multipliers below it.  Returns
-    (perm, sign of the permutation), or None at a zero pivot.  The pivot
-    is the largest-magnitude candidate and ties keep the lowest row
-    index, so the factorization is deterministic.
-    """
-    n = len(work)
-    perm = list(range(n))
-    sign = 1.0
-    for k in range(n):
-        piv, pmag = k, abs(work[k][k])
-        for i in range(k + 1, n):
-            m = abs(work[i][k])
-            if m > pmag:
-                piv, pmag = i, m
-        if pmag == 0.0:
-            return None
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
-            sign = -sign
-        row_k = work[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = work[i]
-            f = row_i[k] / pivot
-            row_i[k] = f
-            if f == 0:
-                continue
-            for j in range(k + 1, n):
-                row_i[j] -= f * row_k[j]
-    return perm, sign
+def _two_sum(a: np.ndarray, b: np.ndarray):
+    """s + e == a + b exactly, s = fl(a + b) (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
-def _lu_solve(lu, perm, b) -> list:
-    """x with A x = b, from the factors _lu left of A."""
-    n = len(lu)
-    y = [b[p] for p in perm]
-    for i in range(1, n):
-        row = lu[i]
-        s = y[i]
-        for j in range(i):
-            s -= row[j] * y[j]
-        y[i] = s
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        s = y[i]
-        for j in range(i + 1, n):
-            s -= row[j] * y[j]
-        y[i] = s / row[i]
-    return y
-
-
-# Dekker's split of both parts of c: t = _SPLITTER * c, hi = t - (t - c),
-# lo = c - hi gives c = hi + lo with at most 26 significant bits in each
-# part of hi and of lo.
-
-def _split_rows(rows) -> list:
-    """Per row, (j, -re_hi, -re_lo, im_hi, im_lo, -im_hi, -im_lo) for
-    every nonzero entry: the factors _residual multiplies."""
-    out = []
-    for r in rows:
-        terms = []
-        for j, c in enumerate(r):
-            if c:
-                t = _SPLITTER * c
-                hi = t - (t - c)
-                lo = c - hi
-                terms.append((j, -hi.real, -lo.real, hi.imag, lo.imag,
-                              -hi.imag, -lo.imag))
-        out.append(terms)
+def _neg_real_form(a: np.ndarray) -> np.ndarray:
+    """-[[re, -im], [im, re]] of a (P, n, n) stack: minus the (P, 2n, 2n)
+    real matrix acting on [x.re, x.im]."""
+    n = a.shape[1]
+    out = np.empty((len(a), 2 * n, 2 * n))
+    out[:, :n, :n] = out[:, n:, n:] = -a.real
+    out[:, :n, n:] = a.imag
+    out[:, n:, :n] = -a.imag
     return out
 
 
-def _residual(split_rows, b, x) -> list:
-    """b - A x with each entry correctly rounded.
+def _residual(split, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - A x of each system, as if computed in twice the working
+    precision and then rounded.
 
-    Every product of two 26-bit halves is exact, and math.fsum adds the
-    exact terms with a single rounding.
+    split is -A in real form with its Dekker split.  TwoProd turns each
+    product into an exact pair; a TwoSum tree of fixed shape adds a row's
+    products, their errors are summed beside it, and b comes last.
     """
-    xs = []
-    for c in x:
-        t = _SPLITTER * c
-        hi = t - (t - c)
-        lo = c - hi
-        xs.append((hi.real, lo.real, hi.imag, lo.imag))
-    out = []
-    for bi, row in zip(b, split_rows):
-        re = [bi.real]
-        im = [bi.imag]
-        for j, nrh, nrl, ih, il, nih, nil in row:
-            xrh, xrl, xih, xil = xs[j]
-            re += (nrh * xrh, nrh * xrl, nrl * xrh, nrl * xrl,
-                   ih * xih, ih * xil, il * xih, il * xil)
-            im += (nrh * xih, nrh * xil, nrl * xih, nrl * xil,
-                   nih * xrh, nih * xrl, nil * xrh, nil * xrl)
-        out.append(complex(math.fsum(re), math.fsum(im)))
+    neg, nh, nl = split
+    n = b.shape[1]
+    xr = np.concatenate([x.real, x.imag], axis=1)[:, None, :]
+    xh, xl = _split(xr)
+    terms = neg * xr
+    errs = nh * xh
+    errs -= terms
+    errs += nh * xl
+    errs += nl * xh
+    errs += nl * xl
+    while terms.shape[-1] > 1:
+        odd = terms.shape[-1] % 2
+        end = terms.shape[-1] - odd
+        s, e = _two_sum(terms[..., 0:end:2], terms[..., 1:end:2])
+        e += errs[..., 0:end:2]
+        e += errs[..., 1:end:2]
+        if odd:  # the last column waits for the next level
+            s = np.concatenate([s, terms[..., -1:]], axis=-1)
+            e = np.concatenate([e, errs[..., -1:]], axis=-1)
+        terms, errs = s, e
+    br = np.concatenate([b.real, b.imag], axis=1)
+    s, e = _two_sum(br, terms[..., 0])
+    r = s + (errs[..., 0] + e)
+    out = np.empty(b.shape, complex)
+    out.real = r[:, :n]
+    out.imag = r[:, n:]
     return out
 
 
-def _finite(values) -> bool:
-    return all(map(cmath.isfinite, values))
+def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
+    """z with a[p] z[p] = b[p] for each system of a (P, n, n) stack, and
+    why each gap is one (an int8 code per system, 0 for a value).
+
+    Systems already marked in `why` are not solved.  The others are
+    equilibrated, solved by one stacked LAPACK call and refined against
+    the residual: every system takes one correction, and the ones whose
+    last correction is still above REFINE_TOL * max|z| take another, at
+    most MAX_CORRECTIONS in all.  A non-finite entry, a zero pivot, a
+    non-finite iterate and a system that does not converge are gaps, and
+    their z is NaN.
+    """
+    why = np.zeros(len(a), np.int8) if why is None else why.copy()
+    z = np.full(b.shape, np.nan, complex)
+    all_of, max_of = np.logical_and.reduce, np.maximum.reduce
+    with np.errstate(all="ignore"):
+        idx = (why == 0).nonzero()[0]
+        if idx.size < len(a):
+            a, b = a[idx], b[idx]
+        a, row, col, finite = _equilibrate(a)
+        b = rmul(b, np.ldexp(1.0, -row))
+        finite &= all_of(np.isfinite(b), axis=1)
+        x, singular = _lapack_solve(a, b) if all_of(finite) else (None, None)
+        if x is None:  # drop the non-finite systems, then solve
+            why[idx[~finite]] = NON_FINITE
+            idx, a, b, col = idx[finite], a[finite], b[finite], col[finite]
+            if not idx.size:
+                return z, why
+            x, singular = _lapack_solve(a, b)
+        keep = None
+        if singular is not None:
+            why[idx[singular]] = ZERO_PIVOT
+            keep = ~singular
+        # the scaled system solves for x with z = diag(2**-col) x; the
+        # stopping rule weighs corrections on z's own scale
+        col_scale = np.ldexp(1.0, -col)
+        neg = _neg_real_form(a)
+        split = (neg, *_split(neg))
+        for _ in range(MAX_CORRECTIONS):
+            if keep is not None:
+                idx, a, b, x, col_scale = (v[keep] for v in
+                                           (idx, a, b, x, col_scale))
+                split = tuple(v[keep] for v in split)
+                if not idx.size:
+                    break
+            dx, _ = _lapack_solve(a, _residual(split, b, x))
+            x = x + dx
+            zs = rmul(x, col_scale)
+            # a non-finite entry makes its row's maximum non-finite
+            dz = max_of(_magnitude(dx) * col_scale, axis=1)
+            zmax = max_of(_magnitude(zs), axis=1)
+            ok = np.isfinite(dz) & np.isfinite(zmax)
+            done = ok & (dz <= REFINE_TOL * zmax)
+            if all_of(done):
+                z[idx] = zs
+                break
+            z[idx[done]] = zs[done]
+            why[idx[~ok]] = NO_CONVERGENCE
+            keep = ok & ~done
+        else:
+            why[idx[keep]] = NO_CONVERGENCE
+    return z, why
 
 
 def solve(m: SquareMatrix, rhs) -> list:
-    """z with m z = rhs, refined until the last correction is negligible.
-
-    One LU factorization of the power-of-two equilibrated matrix gives z;
-    each correction solves for the exactly computed residual with the same
-    factors.  Raises SingularPointError at a zero pivot, a non-finite
-    entry or result, or when MAX_CORRECTIONS corrections leave a
-    correction above REFINE_TOL * max|z|.
-    """
-    rows = m.rows
-    if not (all(map(_finite, rows)) and _finite(rhs)):
-        raise SingularPointError("non-finite matrix or right-hand side entry")
-    lu, row_exp, col_exp = _equilibrate(rows)
-    b = [v * 2.0 ** -p for v, p in zip(rhs, row_exp)]
-    split_rows = _split_rows(lu)
-    factors = _lu(lu)
-    if factors is None:
-        raise SingularPointError("zero pivot: the matrix is singular")
-    perm, _ = factors
-    # the scaled system solves for x with z = diag(2**-col_exp) x; the
-    # stopping rule weighs corrections on z's own scale
-    col_scale = [2.0 ** -p for p in col_exp]
-    x = _lu_solve(lu, perm, b)
-    for _ in range(MAX_CORRECTIONS):
-        if not _finite(x):
-            break
-        try:
-            dx = _lu_solve(lu, perm, _residual(split_rows, b, x))
-        except (OverflowError, ValueError):  # fsum met inf - inf or overflow
-            break
-        x = [u + v for u, v in zip(x, dx)]
-        z = [u * s for u, s in zip(x, col_scale)]
-        if not _finite(z):
-            break
-        if _magnitude([d * s for d, s in zip(dx, col_scale)]) \
-                <= REFINE_TOL * _magnitude(z):
-            return z
-    raise SingularPointError("iterative refinement did not converge")
+    """z with m z = rhs: the one-system face of solve_stack.  Raises
+    SingularPointError where that marks a gap."""
+    z, why = solve_stack(np.array([m.rows], complex),
+                         np.array([rhs], complex))
+    if why[0]:
+        raise SingularPointError(GAP_REASONS[why[0]])
+    return [complex(v) for v in z[0]]
 
 
 def det(m: SquareMatrix) -> complex:
     """Determinant of a small complex matrix.  Singular input returns 0.
 
-    The pivots of the equilibrated matrix are multiplied first and the
-    power-of-two scale is applied last, so entry scales whose product
-    overflows still give a determinant of representable size.
+    LAPACK's LU of the power-of-two equilibrated matrix gives the
+    determinant of unit-scale entries; the scale is applied last, so
+    entry scales whose product overflows still give a determinant of
+    representable size.
     """
-    work, row_exp, col_exp = _equilibrate(m.rows)
-    factors = _lu(work)
-    if factors is None:
-        return 0j
-    d = factors[1] + 0j
-    for i, row in enumerate(work):
-        d *= row[i]
-    k = sum(row_exp) + sum(col_exp)
+    a, row, col, _ = _equilibrate(np.array([m.rows], complex))
+    d = complex(np.linalg.det(a[0]))
+    k = int(row.sum() + col.sum())
     return complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))

@@ -6,6 +6,13 @@ Builders return eigenfunction triples as jets in the perturbation of the
 spectral parameter (lambda + eps for plain charts, lambda + eps^2 for the
 degenerate rogue charts), so derivative columns for the generalized
 transformation fall out of the same code path as plain evaluation.
+
+The `*_jets` builders take the coordinates of many points as float
+arrays and return the three components as complex arrays of shape
+(order + 1, P), the third being the second object itself where the two
+are equal by construction, plus where an exponential overflowed.  Only
+the exponents vary per point: the rest is a per-chart static jet,
+cached.  The `*_eigenfunction` builders are their one-point faces.
 """
 from __future__ import annotations
 
@@ -13,10 +20,14 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConfigError, NumericError
+import numpy as np
+
+from .errors import ConfigError, NumericError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     profile_eval)
-from .numerics import Jet, jet_div, jet_exp, jet_mul, jet_sqrt_even
+from .numerics import (GAP_REASONS, OVERFLOW, Jet, cmul, jet_div, jet_mul,
+                       jet_sqrt_even, polar, rmul, series_exp,
+                       series_mul, toeplitz)
 
 # relative tolerance deciding whether S(lambda) counts as zero: the critical
 # lambda is only float-accurate, so S lands near 1e-16 * scale, never at 0
@@ -159,6 +170,50 @@ def rogue_R(lam, seed: PlaneWaveSeed):
 
 
 # ---------------------------------------------------------------------------
+# shared pieces of the array builders
+# ---------------------------------------------------------------------------
+
+
+def _frozen(*jets) -> tuple:
+    """Static jets as read-only coefficient arrays."""
+    out = []
+    for jet in jets:
+        a = np.array(jet.coeffs)
+        a.flags.writeable = False
+        out.append(a)
+    return tuple(out)
+
+
+def _exponent(cx, cy, ch, x, y, f) -> np.ndarray:
+    """cx*x + cy*y + ch*f(y+t) for static jets cx, cy (..., K), constants
+    ch (...) and per-point x, y, f: (..., K, P), rounded as the same Jet
+    expression is."""
+    re = cx.real[..., None] * x + cy.real[..., None] * y
+    im = cx.imag[..., None] * x + cy.imag[..., None] * y
+    re[..., 0, :] += np.multiply.outer(np.real(ch), f)
+    im[..., 0, :] += np.multiply.outer(np.imag(ch), f)
+    e = np.empty(re.shape, complex)
+    e.real = re
+    e.imag = im
+    return e
+
+
+def _one_point(point) -> tuple:
+    return tuple(np.array([float(v)]) for v in point)
+
+
+def _one_triple(phis, over, point) -> EigenTriple:
+    """The EigenTriple of a one-point build; a shared component stays one
+    Jet object."""
+    if over[0]:
+        raise SingularPointError(f"{GAP_REASONS[OVERFLOW]} at point {point!r}")
+    phi1, phi2, phi3 = phis
+    j2 = Jet(phi2[:, 0])
+    return EigenTriple(Jet(phi1[:, 0]), j2,
+                       j2 if phi3 is phi2 else Jet(phi3[:, 0]))
+
+
+# ---------------------------------------------------------------------------
 # zero-seed eigenfunctions (solitons, positons)
 # ---------------------------------------------------------------------------
 
@@ -168,20 +223,22 @@ def _zero_seed_static(chart: ZeroSeedChart, order: int):
     lam = Jet.variable(chart.lam, order)
     lam2 = jet_mul(lam, lam)
     inv4l2 = jet_div(Jet.constant(1.0, order), 4 * lam2)
-    cx = -1j * lam2
-    cy = 1j * (inv4l2 - 1)
-    return cx, cy
+    return _frozen(-1j * lam2, 1j * (inv4l2 - 1))
+
+
+def zero_seed_jets(chart: ZeroSeedChart, profile: DeformationProfile,
+                   x, y, t, jet_order: int):
+    cx, cy = _zero_seed_static(chart, jet_order)
+    exponent = _exponent(cx, cy, 1j * chart.h1, x, y,
+                         profile_eval(profile, y + t))
+    (phi1, phi23), over = series_exp(np.array([exponent, -exponent]))
+    return (phi1, phi23, phi23), over
 
 
 def zero_seed_eigenfunction(chart: ZeroSeedChart, profile: DeformationProfile,
                             point, jet_order: int) -> EigenTriple:
-    x, y, t = point
-    cx, cy = _zero_seed_static(chart, jet_order)
-    f = profile_eval(profile, y + t)
-    exponent = cx * x + cy * y + (1j * chart.h1 * f)
-    phi1 = jet_exp(exponent)
-    phi23 = jet_exp(-exponent)
-    return EigenTriple(phi1, phi23, phi23)
+    return _one_triple(*zero_seed_jets(chart, profile, *_one_point(point),
+                                       jet_order), point)
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +269,50 @@ def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed, order: int):
     cy2 = 1j * beta2 - h_over
     cx3 = 0.5j * a1 - 0.5 * H
     cy3 = 1j * beta3 + h_over
-    return (w12, w13, cx1, cy1, cx2, cy2, cx3, cy3)
+    # the three exponents stacked, each cx*x + cy*y + ch*f(y+t), and the
+    # weights of the three exponentials
+    cx, cy = (np.stack(c) for c in (_frozen(cx1, cx2, cx3),
+                                   _frozen(cy1, cy2, cy3)))
+    ch = np.array([1j * chart.h1, -1j * chart.h2, -1j * chart.h1])
+    weights = np.array([chart.l1, chart.l2, chart.l3])[:, None, None]
+    return (toeplitz(np.stack(_frozen(w12, w13))), cx, cy, ch, weights)
 
 
-def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
-                           profile: DeformationProfile, point,
-                           jet_order: int) -> EigenTriple:
+def _check_breather(chart: BreatherChart, seed: PlaneWaveSeed):
     if not seed.symmetric:
         raise ConfigError(
             "breather eigenfunctions need a1 == a2 and d1 == d2")
     if is_critical(chart.lam, seed):
         raise ConfigError(
             f"S({chart.lam!r}) = 0: use a rogue chart for this lambda")
-    x, y, t = point
-    (w12, w13, cx1, cy1, cx2, cy2, cx3, cy3) = _breather_static(
-        chart, seed, jet_order)
+
+
+def breather_jets(chart: BreatherChart, seed: PlaneWaveSeed,
+                  profile: DeformationProfile, x, y, t, jet_order: int):
+    _check_breather(chart, seed)
+    w_rows, cx, cy, ch, weights = _breather_static(chart, seed, jet_order)
     f = profile_eval(profile, y + t)
-    e1 = chart.l1 * jet_exp(cx1 * x + cy1 * y + (1j * chart.h1 * f))
-    e2 = chart.l2 * jet_exp(cx2 * x + cy2 * y + (-1j * chart.h2 * f))
-    e3 = chart.l3 * jet_exp(cx3 * x + cy3 * y + (-1j * chart.h1 * f))
-    psi1 = jet_mul(w12, e2) + jet_mul(w13, e3)
-    psi2 = -e1 + e2 + e3
-    psi3 = e1 + e2 + e3
+    e, over = series_exp(_exponent(cx, cy, ch, x, y, f))
+    e = rmul(e, weights)
+    e1, e2, e3 = e
+    w_e2, w_e3 = series_mul(w_rows, e[1:])
+    psi1 = w_e2 + w_e3
     th1, th2 = seed.theta(x, y, t)
-    return EigenTriple(psi1,
-                       cmath.exp(-1j * th1) * psi2,
-                       cmath.exp(-1j * th2) * psi3)
+    # with l1 = 0 and equal phases the last two components coincide
+    if chart.l1 == 0 and (seed.a1, seed.b1, seed.c1) \
+            == (seed.a2, seed.b2, seed.c2):
+        psi2 = cmul(-e1 + e2 + e3, polar(1.0, -th1))
+        return (psi1, psi2, psi2), over
+    psi2, psi3 = cmul(np.array([-e1 + e2 + e3, e1 + e2 + e3]),
+                      polar(1.0, -np.array([th1, th2]))[:, None])
+    return (psi1, psi2, psi3), over
+
+
+def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
+                           profile: DeformationProfile, point,
+                           jet_order: int) -> EigenTriple:
+    return _one_triple(*breather_jets(chart, seed, profile,
+                                      *_one_point(point), jet_order), point)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +338,12 @@ def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, internal_order: int):
     k_xy = half
     k_t = jet_mul(half, R)
     k_shift = jet_mul(half, delta_jet)
-    return k_xy, k_t, k_shift, c_minus, c_plus
+    return _frozen(k_xy, k_t, k_shift) + (
+        toeplitz(np.stack(_frozen(c_minus, c_plus))),)
 
 
-def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
-                            jet_order: int) -> EigenTriple:
+def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
+               jet_order: int):
     if not seed.symmetric or seed.b1 != seed.b2:
         raise ConfigError(
             "rogue eigenfunctions need a1 == a2, d1 == d2 and b1 == b2")
@@ -280,35 +356,46 @@ def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
         raise ConfigError(
             f"rogue chart of multiplicity {chart.multiplicity} needs jet "
             f"order >= {2 * chart.multiplicity}, got {jet_order}")
-    x, y, t = point
     # two extra orders: the eps^-1 prefactor shifts every series down by
     # one, and the eps^2 perturbation itself needs headroom at order 0
-    k_xy, k_t, k_shift, c_minus, c_plus = _rogue_static(
-        chart, seed, jet_order + 2)
-    A = k_xy * complex(x, y) + k_t * t + k_shift
-    eA = jet_exp(A)
-    emA = jet_exp(-A)
-    bracket1 = (eA - emA).shifted_down(1).truncated(jet_order)
-    bracket2 = (jet_mul(c_minus, eA)
-                - jet_mul(c_plus, emA)).shifted_down(1).truncated(jet_order)
+    k_xy, k_t, k_shift, c_rows = _rogue_static(chart, seed, jet_order + 2)
+    w = np.empty(len(x), complex)
+    w.real, w.imag = x, y
+    A = (cmul(k_xy[:, None], w) + rmul(k_t[:, None], t)) + k_shift[:, None]
+    e, over = series_exp(np.array([A, -A]))
+    eA, emA = e
+    # the eps^0 coefficients of both brackets are exactly zero (sqrt(S)
+    # has none), so dividing by eps drops them
+    keep = slice(1, jet_order + 2)
+    bracket1 = (eA - emA)[keep]
+    c_eA, c_emA = series_mul(c_rows, e)
+    bracket2 = (c_eA - c_emA)[keep]
     th1, _ = seed.theta(x, y, t)
-    phi1 = cmath.exp(0.5j * th1) * bracket1
-    phi23 = cmath.exp(-0.5j * th1) * bracket2
-    triple = EigenTriple(phi1, phi23, phi23)
-    _check_even_parity(triple)
-    return triple
+    phase = polar(1.0, 0.5 * th1)
+    phi1 = cmul(bracket1, phase)
+    phi23 = cmul(bracket2, phase.conj())
+    _check_even_parity(phi1, phi23)
+    return (phi1, phi23, phi23), over
 
 
-def _check_even_parity(triple: EigenTriple):
-    scale = max(max(abs(c) for c in jet.coeffs)
-                for jet in (triple.phi1, triple.phi2, triple.phi3))
-    if scale == 0.0:
-        return
-    worst = 0.0
-    for jet in (triple.phi1, triple.phi2, triple.phi3):
-        for i in range(1, len(jet.coeffs), 2):
-            worst = max(worst, abs(jet.coeffs[i]))
-    if worst > EVEN_PARITY_RTOL * scale:
+def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
+                            jet_order: int) -> EigenTriple:
+    return _one_triple(*rogue_jets(chart, seed, *_one_point(point),
+                                   jet_order), point)
+
+
+def _check_even_parity(phi1: np.ndarray, phi23: np.ndarray):
+    """Odd-order coefficients vanish in exact arithmetic; where a finite
+    point's reach EVEN_PARITY_RTOL of its largest, the expansion broke."""
+    mags = np.abs(np.concatenate([phi1, phi23]))
+    scale = np.maximum.reduce(mags)
+    worst = np.maximum.reduce(np.concatenate([mags[1:len(phi1):2],
+                                              mags[len(phi1) + 1::2],
+                                              np.zeros_like(mags[:1])]))
+    # a non-finite scale compares false: that point is a gap, not a break
+    bad = worst > EVEN_PARITY_RTOL * scale
+    if bad.any():
+        k = int(np.argmax(bad))
         raise NumericError(
-            f"odd-order coefficients reach {worst:.3e} relative to {scale:.3e}; "
-            "the eps-expansion lost its even parity")
+            f"odd-order coefficients reach {worst[k]:.3e} relative to "
+            f"{scale[k]:.3e}; the eps-expansion lost its even parity")

@@ -4,7 +4,10 @@ Nothing here reuses the construction machinery: residuals come from
 central finite differences of sampled fields, the first-order rogue wave
 has its own closed-form evaluation, and the Lax matrices are written out
 from their printed entries.  Agreement between these checks and the
-determinant pipeline is the package's correctness argument.
+determinant pipeline is the package's correctness argument.  The
+engine's sampler is recognised only to hand it a stencil's or a search
+step's field points in one call; any other point -> FieldSample callable
+is sampled one point at a time.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dt_engine import FieldSample, FieldSampler
 from .errors import NumericError, SingularPointError
 from .grid_render import FieldGrid
 from .model import GridSpec
@@ -45,21 +49,43 @@ class ResidualReport:
         return max(abs(self.residual1), abs(self.residual2))
 
 
-class _Stencil:
-    """Samples a field around a base point.  A gap inside the stencil
-    leaves the check unformed, so it raises NumericError (not a
-    SingularPointError) naming the offset."""
-
-    def __init__(self, sampler, point):
-        self.sampler = sampler
-        self.x, self.y, self.t = point
-
-    def __call__(self, dx=0.0, dy=0.0, dt=0.0):
+def _sample_many(sampler, points):
+    """q1 and q2 at each point as complex arrays, NaN at gaps.  The
+    engine's sampler takes all the points in one call; any other sampler
+    is called once per point."""
+    if isinstance(sampler, FieldSampler):
+        s = sampler(np.array(points, float))
+        return s.q1, s.q2
+    q = np.full((2, len(points)), complex("nan"))
+    for k, point in enumerate(points):
         try:
-            return self.sampler((self.x + dx, self.y + dy, self.t + dt))
-        except SingularPointError as exc:
-            raise NumericError(
-                f"singular sample at offset {(dx, dy, dt)}") from exc
+            s = sampler(point)
+        except SingularPointError:
+            continue
+        q[:, k] = s.q1, s.q2
+    return q[0], q[1]
+
+
+def _stencil(sampler, point, offsets) -> list:
+    """The FieldSample at point + each (dx, dy, dt) offset, from one call
+    of the engine's sampler.  A gap inside the stencil leaves the check
+    unformed, so it raises NumericError (not a SingularPointError) naming
+    the first offset that hits one."""
+    x, y, t = point
+    q1, q2 = _sample_many(sampler, [(x + dx, y + dy, t + dt)
+                                    for dx, dy, dt in offsets])
+    gaps = np.isnan(q1) | np.isnan(q2)
+    if gaps.any():
+        raise NumericError(
+            f"singular sample at offset {offsets[int(np.argmax(gaps))]}")
+    return [FieldSample(complex(a), complex(b)) for a, b in zip(q1, q2)]
+
+
+# pde_residual's stencil: the base point, the two x neighbours, and the
+# (x, t) and (x, y) crosses, in units of the step
+_PDE_OFFSETS = ((0, 0, 0), (1, 0, 0), (-1, 0, 0),
+                (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
+                (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0))
 
 
 def pde_residual(sampler, point, step: float = 1e-3) -> ResidualReport:
@@ -69,13 +95,8 @@ def pde_residual(sampler, point, step: float = 1e-3) -> ResidualReport:
     central difference.  Everything is second order in the step.
     """
     h = step
-    s = _Stencil(sampler, point)
-    c = s()
-    xp, xm = s(dx=h), s(dx=-h)
-    pp_t, pm_t = s(dx=h, dt=h), s(dx=h, dt=-h)
-    mp_t, mm_t = s(dx=-h, dt=h), s(dx=-h, dt=-h)
-    pp_y, pm_y = s(dx=h, dy=h), s(dx=h, dy=-h)
-    mp_y, mm_y = s(dx=-h, dy=h), s(dx=-h, dy=-h)
+    (c, xp, xm, pp_t, pm_t, mp_t, mm_t, pp_y, pm_y, mp_y, mm_y) = _stencil(
+        sampler, point, [(i * h, j * h, k * h) for i, j, k in _PDE_OFFSETS])
 
     def second(ppa, pma, mpa, mma):
         return (ppa - pma - mpa + mma) / (4 * h * h)
@@ -143,8 +164,8 @@ def lax_residual(phi_sampler, field_sampler, lam: complex, point,
     """
     h = step
     x, y, t = point
-    s = _Stencil(field_sampler, point)
-    c = s()
+    c, xp, xm = _stencil(field_sampler, point,
+                         [(0.0, 0.0, 0.0), (h, 0.0, 0.0), (-h, 0.0, 0.0)])
     try:
         phi_c = _phi_vec(phi_sampler, point)
         phi_xp = _phi_vec(phi_sampler, (x + h, y, t))
@@ -158,7 +179,6 @@ def lax_residual(phi_sampler, field_sampler, lam: complex, point,
     phi_x = (phi_xp - phi_xm) / (2 * h)
     phi_y = (phi_yp - phi_ym) / (2 * h)
     phi_t = (phi_tp - phi_tm) / (2 * h)
-    xp, xm = s(dx=h), s(dx=-h)
     q1x = (xp.q1 - xm.q1) / (2 * h)
     q2x = (xp.q2 - xm.q2) / (2 * h)
     U = lax_U(lam, q1x, q2x)
@@ -172,16 +192,20 @@ def zero_curvature_residual(field_sampler, lam: complex, point,
                             step: float = 1e-3) -> float:
     """Max norm of U_t - U_y - V_x + [U, V] by nested central differences."""
     h = step
-    s = _Stencil(field_sampler, point)
+    # U needs q_x at each (y, t) shift, one more level down in x; V needs
+    # q at the x shifts.  All 13 samples are one stencil.
+    shifts = ((0.0, h), (0.0, -h), (h, 0.0), (-h, 0.0), (0.0, 0.0))
+    offsets = list(dict.fromkeys(
+        [(dx, dy, dt) for dy, dt in shifts for dx in (h, -h)]
+        + [(dx, 0.0, 0.0) for dx in (h, -h, 0.0)]))
+    samples = dict(zip(offsets, _stencil(field_sampler, point, offsets)))
 
     def U_at(dy: float, dt: float) -> np.ndarray:
-        # the potential needs q_x at the shifted point, one more level down
-        fp = s(dx=h, dy=dy, dt=dt)
-        fm = s(dx=-h, dy=dy, dt=dt)
+        fp, fm = samples[(h, dy, dt)], samples[(-h, dy, dt)]
         return lax_U(lam, (fp.q1 - fm.q1) / (2 * h), (fp.q2 - fm.q2) / (2 * h))
 
     def V_at(dx: float) -> np.ndarray:
-        f = s(dx=dx)
+        f = samples[(dx, 0.0, 0.0)]
         return lax_V(lam, f.q1, f.q2)
 
     U_t = (U_at(0.0, h) - U_at(0.0, -h)) / (2 * h)
@@ -199,36 +223,36 @@ def zero_curvature_residual(field_sampler, lam: complex, point,
 
 
 def peak_search(sampler, region: GridSpec, refine_iters: int = 40):
-    """Argmax of |q1|: coarse grid scan plus coordinate-descent refinement.
+    """Argmax of |q1|: a coarse grid scan, then steps to the best of the
+    four neighbours that improves on the current point, halving the step
+    when none does.
 
-    Ties prefer the lowest x, then the lowest y.  Returns ((x, y), |q1|).
+    The scan is one sampler call and so is each step's four neighbours.
+    Ties prefer the lowest x, then the lowest y.  Returns ((x, y), |q1|),
+    |q1| being the sampler's value at (x, y) bit for bit.
     """
-    def probe(x: float, y: float) -> float:
-        try:
-            return abs(sampler((x, y, region.t)).q1)
-        except SingularPointError:
-            return -math.inf
+    def probe(points):
+        q1, _ = _sample_many(sampler, [(x, y, region.t) for x, y in points])
+        # np.hypot rounds as Python's abs(complex) does
+        v = np.hypot(q1.real, q1.imag)
+        v[np.isnan(v)] = -math.inf
+        return v
 
-    best_val = -math.inf
-    best_xy = None
-    for x in region.xs():
-        for y in region.ys():
-            v = probe(x, y)
-            if v > best_val:
-                best_val, best_xy = v, (x, y)
-    if best_xy is None or best_val == -math.inf:
+    coarse = [(x, y) for x in region.xs() for y in region.ys()]
+    values = probe(coarse)
+    k = int(np.argmax(values))
+    if values[k] == -math.inf:
         raise NumericError("no usable samples in the search region")
-    bx, by = best_xy
+    (bx, by), best_val = coarse[k], float(values[k])
     sx = (region.x_max - region.x_min) / (region.nx - 1)
     sy = (region.y_max - region.y_min) / (region.ny - 1)
     for _ in range(refine_iters):
-        moved = False
-        for dx, dy in ((sx, 0.0), (-sx, 0.0), (0.0, sy), (0.0, -sy)):
-            v = probe(bx + dx, by + dy)
-            if v > best_val:
-                best_val, bx, by = v, bx + dx, by + dy
-                moved = True
-        if not moved:
+        steps = [(bx + sx, by), (bx - sx, by), (bx, by + sy), (bx, by - sy)]
+        values = probe(steps)
+        k = int(np.argmax(values))
+        if values[k] > best_val:
+            (bx, by), best_val = steps[k], float(values[k])
+        else:
             sx *= 0.5
             sy *= 0.5
     return (bx, by), best_val

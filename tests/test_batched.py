@@ -1,0 +1,293 @@
+"""The batched engine: a node's value does not depend on its chunk, gaps
+stay inside their own system of a stack, the stacked kernels agree with
+the list-based jet arithmetic, and the callers batch their points."""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from flwave import (DeformationProfile, DtConfig, GridSpec, PlaneWaveSeed,
+                    RogueChart, SingularPointError, ZeroBackground,
+                    ZeroSeedChart, critical_lambda, dt_engine, evaluate_grid,
+                    pde_residual, peak_search, solution_sampler)
+from flwave.cli import SCENARIOS
+from flwave.dt_engine import CHUNK, evaluate_points
+from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, OVERFLOW, ZERO_PIVOT,
+                             Jet, _equilibrate, _neg_real_form, _residual,
+                             _split, jet_mul, series_mul, solve_stack,
+                             toeplitz)
+
+SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
+LAM_CRIT = critical_lambda(-0.5, 1.0)
+LIN = DeformationProfile.LINEAR
+SOLITON = DtConfig((ZeroSeedChart(1 + 1j, h1=1 + 1j),))
+ROGUE = DtConfig((RogueChart(LAM_CRIT),))
+
+
+def _one_at_a_time(sampler, points):
+    q = np.full((2, len(points)), complex("nan"))
+    for k, point in enumerate(points):
+        try:
+            s = sampler(point)
+        except SingularPointError:
+            continue
+        q[:, k] = s.q1, s.q2
+    return q
+
+
+# -- a node's value does not depend on its chunk ------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_grid_in_one_call_equals_point_by_point(name):
+    s = SCENARIOS[name]
+    spec = dataclasses.replace(s.grid, nx=9, ny=9)
+    grid = evaluate_grid(s.background, s.charts, s.profile, spec)
+    points = [(x, y, spec.t) for y in spec.ys() for x in spec.xs()]
+    q1, q2 = _one_at_a_time(
+        solution_sampler(s.background, s.charts, s.profile), points)
+    assert grid.q1.tobytes() == q1.reshape(9, 9).tobytes()
+    assert grid.q2.tobytes() == q2.reshape(9, 9).tobytes()
+    assert grid.mask.tobytes() == np.isnan(q1).reshape(9, 9).tobytes()
+
+
+def test_chunk_boundaries_do_not_move_values():
+    s = SCENARIOS["fig6f"]
+    rng = random.Random(5)
+    points = [(rng.uniform(-20, 5), rng.uniform(-20, 20), 0.0)
+              for _ in range(CHUNK + 9)]
+    q1, q2, _ = evaluate_points(s.background, s.charts, s.profile, points)
+    # the same points, each landing at another place in its chunk
+    shifted = evaluate_points(s.background, s.charts, s.profile,
+                              points[7:] + points[:7])
+    assert np.concatenate([q1[7:], q1[:7]]).tobytes() \
+        == shifted[0].tobytes()
+    assert np.concatenate([q2[7:], q2[:7]]).tobytes() \
+        == shifted[1].tobytes()
+
+
+@pytest.mark.parametrize("name,crest", [("fig3a", (1.0, -1.0)),
+                                        ("fig3d", (-0.424, -1.520)),
+                                        ("fig4a", (-2.129, -1.750))])
+def test_peak_search_reports_the_sampler_value_at_its_point(name, crest):
+    s = SCENARIOS[name]
+    sampler = solution_sampler(s.background, s.charts, s.profile)
+    rng = random.Random(name)
+    for _ in range(2):
+        cx = crest[0] + rng.uniform(-0.25, 0.25)
+        cy = crest[1] + rng.uniform(-0.25, 0.25)
+        region = GridSpec(cx - 0.6, cx + 0.6, cy - 0.6, cy + 0.6, 5, 5, 0.0)
+        (x, y), value = peak_search(sampler, region)
+        assert value == abs(sampler((x, y, 0.0)).q1)
+        assert value >= abs(sampler((region.xs()[2], region.ys()[2],
+                                     0.0)).q1)
+
+
+# -- gaps stay inside their own system ----------------------------------------
+
+
+def test_gaps_in_one_stack_leave_the_other_systems_alone():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    a[1, 2] = a[1, 0] * 2.0  # exactly singular
+    a[3, 1, 1] = np.inf  # a non-finite entry
+    why = np.zeros(6, np.int8)
+    why[4] = OVERFLOW  # marked before the solve, as an exp overflow is
+    z, got = solve_stack(a, b, why)
+    assert got.tolist() == [0, ZERO_PIVOT, 0, NON_FINITE, OVERFLOW, 0]
+    assert np.isnan(z[[1, 3, 4]]).all()
+    for p in (0, 2, 5):
+        alone, w = solve_stack(a[p:p + 1], b[p:p + 1])
+        assert w[0] == 0
+        assert alone[0].tobytes() == z[p].tobytes()
+
+
+def test_engine_masks_only_the_bad_nodes_of_a_chunk():
+    # x = 400 overflows the soliton's exponentials; the rest are values
+    points = [(0.3, 0.1, 0.0), (400.0, 0.0, 0.0), (-0.7, 0.2, 0.1),
+              (-400.0, 1.0, 0.0), (1.1, -0.4, 0.0)]
+    q1, q2, why = evaluate_points(ZeroBackground(), SOLITON, LIN, points)
+    assert why.tolist() == [0, OVERFLOW, 0, OVERFLOW, 0]
+    alone = _one_at_a_time(solution_sampler(ZeroBackground(), SOLITON, LIN),
+                           points)
+    assert q1.tobytes() == alone[0].tobytes()
+    assert q2.tobytes() == alone[1].tobytes()
+    # far out the rogue's jets leave the double range: a non-finite gap
+    points = [(0.3, 0.1, 0.0), (1e308, 0.0, 0.0), (-0.7, 0.2, 0.1)]
+    q1, _, why = evaluate_points(SEED_R, ROGUE, LIN, points)
+    assert why.tolist() == [0, NON_FINITE, 0]
+    assert np.isnan(q1[1]) and np.isfinite(q1[[0, 2]]).all()
+
+
+def test_one_point_face_names_the_gap():
+    with pytest.raises(SingularPointError, match="exp argument real part"):
+        dt_engine.evaluate_solution(ZeroBackground(), SOLITON, LIN,
+                                    (400.0, 0.0, 0.0))
+    with pytest.raises(SingularPointError, match="non-finite"):
+        dt_engine.evaluate_solution(SEED_R, ROGUE, LIN, (1e308, 0.0, 0.0))
+    # far from the Y breather Omega_1 is singular once rounded to doubles
+    s = SCENARIOS["figYa"]
+    _, _, why = evaluate_points(s.background, s.charts, s.profile,
+                                [(-80.0, -80.0, 0.0)])
+    assert why[0] == NO_CONVERGENCE
+    with pytest.raises(SingularPointError, match="did not converge"):
+        dt_engine.evaluate_solution(s.background, s.charts, s.profile,
+                                    (-80.0, -80.0, 0.0))
+
+
+def test_far_field_nodes_are_masked_or_values():
+    # over [-80, 80]^2 Omega_1 of the Y breather is singular once rounded
+    # to doubles at hundreds of nodes; each must be a gap, never a value
+    # past the breather's amplitude bound d1 + 2
+    s = SCENARIOS["figYa"]
+    grid = evaluate_grid(s.background, s.charts, s.profile,
+                         GridSpec(-80, 80, -80, 80, 33, 33, 0.0))
+    assert grid.singular_count > 0
+    assert (grid.abs_q1[~grid.mask] <= 3.0 + 1e-9).all()
+
+
+# -- stacked kernels (ports of the list-based helpers' tests) -----------------
+
+
+def test_equilibration_is_an_exact_power_of_two_scaling():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    a *= 10.0 ** rng.integers(-200, 200, size=(4, 5, 1))
+    scaled, row, col, finite = _equilibrate(a)
+    assert finite.all()
+    back = scaled * np.ldexp(1.0, row)[:, :, None] \
+        * np.ldexp(1.0, col)[:, None, :]
+    assert np.array_equal(back, a)
+    mag = np.maximum(abs(scaled.real), abs(scaled.imag))
+    assert ((mag.max(axis=1) >= 0.5) & (mag.max(axis=1) < 1)).all()
+
+
+def test_solve_stack_survives_entries_near_the_double_limit():
+    huge = 1.5e308
+    a = np.array([[[complex(huge, huge), 0], [0, 1]],
+                  [[2, 1], [1, 3]]])
+    b = np.array([[complex(huge, huge), 2], [3, 4]])
+    z, why = solve_stack(a, b)
+    assert why.tolist() == [0, 0]
+    assert z[0].tolist() == [1, 2]
+
+
+def test_ill_conditioned_system_is_solved_exactly_inside_a_stack():
+    n = 8
+    hilbert = [[1.0 / (i + j + 1) for j in range(n)] for i in range(n)]
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, n, n)) + 0j
+    a[1] = hilbert
+    b = np.ones((3, n), complex)
+    z, why = solve_stack(a, b)
+    assert (why == 0).all()
+    want = _exact_solve([[Fraction(v) for v in r] for r in hilbert],
+                        [Fraction(1)] * n)
+    for got, w in zip(z[1], want):
+        assert got.imag == 0.0
+        assert abs(Fraction(got.real) - w) <= 2 ** -52 * abs(w)
+
+
+def test_split_halves_multiply_exactly():
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(200) * 10.0 ** rng.integers(-30, 30, size=200)
+    hi, lo = _split(v)
+    assert np.array_equal(hi + lo, v)
+    for h, lo_, w in zip(hi, lo, v[::-1]):
+        wh, wl = _split(np.array([w]))
+        for x, y in ((h, wh[0]), (h, wl[0]), (lo_, wh[0]), (lo_, wl[0])):
+            assert Fraction(float(x * y)) \
+                == Fraction(float(x)) * Fraction(float(y))
+
+
+def test_residual_is_twice_working_precision_then_rounded():
+    # a sum carried in twice the working precision, then rounded: error
+    # <= eps |exact| + c eps^2 sum |terms|, c growing with the L = 2n + 1
+    # terms of a row (4 L^3 holds for a TwoSum tree); near a solution the
+    # second part is what remains
+    rng = np.random.default_rng(12)
+    n = 4
+    a = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    x = np.linalg.solve(a, b[..., None])[..., 0]
+    neg = _neg_real_form(a)
+    r = _residual((neg, *_split(neg)), b, x)
+    F = Fraction
+    for p in range(5):
+        for i in range(n):
+            ar, ai = a[p, i].real, a[p, i].imag
+            xr, xi = x[p].real, x[p].imag
+            for got, bi, terms in (
+                    (r[p, i].real, b[p, i].real,
+                     [F(u) * F(v) for u, v in zip(ar, xr)]
+                     + [-F(u) * F(v) for u, v in zip(ai, xi)]),
+                    (r[p, i].imag, b[p, i].imag,
+                     [F(u) * F(v) for u, v in zip(ar, xi)]
+                     + [F(u) * F(v) for u, v in zip(ai, xr)])):
+                exact = F(bi) - sum(terms)
+                size = abs(F(bi)) + sum(abs(t) for t in terms)
+                bound = 2 ** -52 * abs(exact) \
+                    + 4 * (2 * n + 1) ** 3 * 2 ** -106 * size
+                assert abs(F(got) - exact) <= bound
+
+
+def test_series_mul_rounds_as_jet_mul_does():
+    rng = random.Random(13)
+    for order in (0, 2, 5):
+        s = [Jet([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for _ in range(order + 1)]) for _ in range(3)]
+        phi = [Jet([complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
+                    for _ in range(order + 1)]) for _ in range(4)]
+        rows = toeplitz(np.array([j.coeffs for j in s]))
+        cols = np.array([j.coeffs for j in phi]).T
+        got = series_mul(rows, cols)
+        for i, si in enumerate(s):
+            for k, pk in enumerate(phi):
+                assert got[i, :, k].tolist() == list(jet_mul(si, pk).coeffs)
+
+
+# -- the callers batch their points -------------------------------------------
+
+
+def test_sampler_takes_many_points_in_one_call():
+    sampler = solution_sampler(SEED_R, ROGUE, LIN)
+    points = np.array([(0.5, -1.0, 0.0), (1.0, -1.0, 0.0), (1e308, 0, 0)])
+    many = sampler(points)
+    assert many.q1.shape == (3,)
+    assert many.q1[1] == sampler((1.0, -1.0, 0.0)).q1
+    assert np.isnan(many.q1[2]) and np.isnan(many.q2[2])
+
+
+def test_pde_residual_and_peak_search_batch_their_samples(monkeypatch):
+    calls = []
+    inner = dt_engine.evaluate_points
+
+    def counted(background, config, profile, points):
+        calls.append(len(points))
+        return inner(background, config, profile, points)
+
+    monkeypatch.setattr(dt_engine, "evaluate_points", counted)
+    sampler = solution_sampler(SEED_R, ROGUE, LIN)
+    pde_residual(sampler, (0.4, -0.3, 0.0))
+    assert calls == [11]
+    calls.clear()
+    peak_search(sampler, GridSpec(0, 2, -2, 0, 5, 5), refine_iters=6)
+    assert calls == [25] + [4] * 6
+
+
+def _exact_solve(a, b):
+    """Gauss-Jordan elimination over the rationals."""
+    n = len(a)
+    rows = [list(r) + [v] for r, v in zip(a, b)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [u - f * v for u, v in zip(rows[i], rows[k])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]

@@ -361,3 +361,45 @@ def test_spec_critical_lambda_is_the_root_of_S_on_its_seed():
     assert background == SEED_R
     assert config == DtConfig((RogueChart(LAM_CRIT),
                                BreatherChart(0.5 + 0.5j, h1=1 + 2j)))
+
+
+_SEED_R_JSON = {"a1": -0.5, "a2": -0.5, "b1": -1, "b2": -1, "d1": 1, "d2": 1}
+
+
+@pytest.mark.parametrize("chart,match", [
+    ({"kind": "zero", "lam": [1, 2, 3]}, r"chart 1 lam must be a \[re, im\]"),
+    ({"kind": "zero", "lam": "1+1j"}, r"chart 1 lam must be a \[re, im\]"),
+    ({"kind": "zero", "h1": [1, 1]}, "chart 1 needs lam"),
+    ({"kind": "zero", "lam": [1, 1], "multiplicity": "1"},
+     "chart 1 multiplicity must be a number"),
+    ({"kind": "zero", "lam": [1, 1], "multiplicity": 1.5},
+     "chart 1 multiplicity must be a whole number"),
+    ({"kind": "zero", "lam": [1, 1], "h1": 2}, r"chart 1 h1 must be a \[re"),
+    ({"kind": "breather", "lam": [0.5, 0.5], "h2": ["a", 1]},
+     "chart 1 h2 must be a number"),
+    ({"kind": "breather", "lam": [0.5, 0.5], "l1": True},
+     "chart 1 l1 must be a number"),
+    ({"kind": "breather", "lam": [0.5, 0.5], "l3": [1]},
+     "chart 1 l3 must be a number"),
+    ({"kind": "rogue", "lam": "critical", "shifts": 5},
+     "chart 1 shifts must be a list"),
+    ({"kind": "rogue", "lam": "critical", "shifts": [[1, 2, 3]]},
+     r"chart 1 shifts 0 must be a \[re, im\]"),
+])
+def test_spec_rejects_bad_chart_values_naming_chart_and_key(chart, match):
+    zero = chart["kind"] == "zero"
+    first = {"kind": "zero", "lam": [2, 1]} if zero \
+        else {"kind": "breather", "lam": [0.7, 0.4]}
+    spec = {"seed": "zero" if zero else _SEED_R_JSON, "profile": "linear",
+            "charts": [first, chart],
+            "grid": {"x": [-1, 1, 3], "y": [-1, 1, 3]}}
+    with pytest.raises(ConfigError, match=match):
+        spec_from_json(spec)
+
+
+def test_spec_takes_whole_float_multiplicities_and_pair_tuples():
+    spec = {"seed": "zero", "profile": "linear",
+            "grid": {"x": [-1, 1, 3], "y": [-1, 1, 3]},
+            "charts": [{"kind": "zero", "lam": (1, 1), "multiplicity": 1.0}]}
+    _, config, _, _ = spec_from_json(spec)
+    assert config == DtConfig((ZeroSeedChart(1 + 1j, multiplicity=1),))

@@ -1,5 +1,6 @@
 """Grid evaluation, CSV/binary export, and PNG rendering."""
 
+import concurrent.futures
 import struct
 import zlib
 
@@ -309,3 +310,44 @@ def test_masked_nodes_export_as_nan(tmp_path):
     assert np.isnan(data[2, 2:]).all()
     assert not np.isnan(data[[0, 1, 3]][:, 2:]).any()
 
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+def test_grid_that_fits_in_one_chunk_runs_in_this_process(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    cfg = DtConfig((ZeroSeedChart(1 + 1j, h1=1 + 1j),))
+    grid = evaluate_grid(ZeroBackground(), cfg, LIN,
+                         GridSpec(-1, 1, -1, 1, 3, 3), workers=2)
+    assert grid.singular_count == 0
+
+
+def test_pool_starts_at_most_one_process_per_chunk(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    cfg = DtConfig((RogueChart(LAM_CRIT),))
+    spec = GridSpec(-2, 2, -2, 2, 11, 11)  # 121 nodes: two chunks
+    pooled = evaluate_grid(SEED_R, cfg, LIN, spec, workers=8)
+    serial = evaluate_grid(SEED_R, cfg, LIN, spec, workers=1)
+    assert started == [2]
+    for name in ("q1", "q2", "mask"):
+        assert getattr(pooled, name).tobytes() \
+            == getattr(serial, name).tobytes()

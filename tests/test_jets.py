@@ -222,17 +222,3 @@ def test_truncation_consistency_under_arithmetic():
         other_lo = other_hi.truncated(3)
         assert max_coeff_diff(jet_mul(hi, other_hi).truncated(3),
                               jet_mul(lo, other_lo)) < 1e-12
-
-
-def test_shift_round_trip():
-    # multiplying by eps (a jet whose top coefficient drops off) and
-    # dividing by it again gives back the coefficients below the top
-    a = Jet([5, 6, 7, 0])
-    up = jet_mul(a, Jet.variable(0, 3))
-    assert up == Jet([0, 5, 6, 7])
-    assert up.shifted_down(1) == Jet([5, 6, 7])
-
-
-def test_shift_down_rejects_nonzero_low_coefficients():
-    with pytest.raises(ConfigError, match="hits a nonzero coefficient"):
-        Jet([1, 2, 3]).shifted_down(1)
