@@ -348,7 +348,7 @@ class SquareMatrix:
         rows = [list(map(complex, r)) for r in rows]
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square and non-empty")
+            raise ConfigError("matrix must be square and non-empty")
         self.dim = n
         self.rows = rows
 

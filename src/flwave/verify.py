@@ -6,8 +6,8 @@ has its own closed-form evaluation, and the Lax matrices are written out
 from their printed entries.  Agreement between these checks and the
 determinant pipeline is the package's correctness argument.  The
 engine's sampler is recognised only to hand it a stencil's or a search
-step's field points in one call; any other point -> FieldSample callable
-is sampled one point at a time.
+lookahead's field points in one call; any other point -> FieldSample
+callable is sampled one point at a time.
 """
 from __future__ import annotations
 
@@ -227,31 +227,54 @@ def peak_search(sampler, region: GridSpec, refine_iters: int = 40):
     four neighbours that improves on the current point, halving the step
     when none does.
 
-    The scan is one sampler call and so is each step's four neighbours.
-    Ties prefer the lowest x, then the lowest y.  Returns ((x, y), |q1|),
-    |q1| being the sampler's value at (x, y) bit for bit.
+    The scan is one sampler call.  The steps read a memo of every |q1|
+    sampled so far, keyed by the exact (x, y) floats.  A step whose four
+    neighbours are not all in it fetches, in one call, every new point
+    this step and the next can read: the four neighbours, the four at
+    half the step (if it halves) and the four around each neighbour (if
+    it moves), at most 16 points.  So a default 40-step search is at most
+    1 + 20 calls, no point is sampled twice, and as a point's value does
+    not depend on its call, the path is the one that one call per step
+    takes.  Ties go to the first point: in the scan the lowest x, then
+    the lowest y; among neighbours +x, -x, +y, -y.  Returns ((x, y),
+    |q1|), |q1| being the sampler's value at (x, y) bit for bit.
     """
-    def probe(points):
-        q1, _ = _sample_many(sampler, [(x, y, region.t) for x, y in points])
+    seen = {}
+
+    def fetch(points):
+        new = list(dict.fromkeys(p for p in points if p not in seen))
+        q1, _ = _sample_many(sampler, [(x, y, region.t) for x, y in new])
         # np.hypot rounds as Python's abs(complex) does
         v = np.hypot(q1.real, q1.imag)
         v[np.isnan(v)] = -math.inf
-        return v
+        seen.update(zip(new, v.tolist()))
+
+    def cross(x, y, sx, sy):
+        return [(x + sx, y), (x - sx, y), (x, y + sy), (x, y - sy)]
 
     coarse = [(x, y) for x in region.xs() for y in region.ys()]
-    values = probe(coarse)
-    k = int(np.argmax(values))
+    fetch(coarse)
+    values = [seen[p] for p in coarse]
+    k = values.index(max(values))
     if values[k] == -math.inf:
         raise NumericError("no usable samples in the search region")
-    (bx, by), best_val = coarse[k], float(values[k])
+    (bx, by), best_val = coarse[k], values[k]
     sx = (region.x_max - region.x_min) / (region.nx - 1)
     sy = (region.y_max - region.y_min) / (region.ny - 1)
-    for _ in range(refine_iters):
-        steps = [(bx + sx, by), (bx - sx, by), (bx, by + sy), (bx, by - sy)]
-        values = probe(steps)
-        k = int(np.argmax(values))
+    for i in range(refine_iters):
+        steps = cross(bx, by, sx, sy)
+        if not all(p in seen for p in steps):
+            ahead = list(steps)
+            if i + 1 < refine_iters:
+                # what the next step reads if this one halves or moves
+                ahead += cross(bx, by, sx * 0.5, sy * 0.5)
+                for x, y in steps:
+                    ahead += cross(x, y, sx, sy)
+            fetch(ahead)
+        values = [seen[p] for p in steps]
+        k = values.index(max(values))
         if values[k] > best_val:
-            (bx, by), best_val = steps[k], float(values[k])
+            (bx, by), best_val = steps[k], values[k]
         else:
             sx *= 0.5
             sy *= 0.5

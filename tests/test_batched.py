@@ -3,22 +3,25 @@ stay inside their own system of a stack, the stacked kernels agree with
 the list-based jet arithmetic, and the callers batch their points."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from flwave import (DeformationProfile, DtConfig, GridSpec, PlaneWaveSeed,
-                    RogueChart, SingularPointError, ZeroBackground,
-                    ZeroSeedChart, critical_lambda, dt_engine, evaluate_grid,
-                    pde_residual, peak_search, solution_sampler)
+from flwave import (DeformationProfile, DtConfig, FieldSample, GridSpec,
+                    PlaneWaveSeed, RogueChart, SingularPointError,
+                    ZeroBackground, ZeroSeedChart, closed_form_rw1,
+                    critical_lambda, dt_engine, evaluate_grid, pde_residual,
+                    peak_search, plane_wave_field, solution_sampler, verify)
 from flwave.cli import SCENARIOS
 from flwave.dt_engine import CHUNK, evaluate_points
 from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, OVERFLOW, ZERO_PIVOT,
                              Jet, _equilibrate, _neg_real_form, _residual,
                              _split, jet_mul, series_mul, solve_stack,
                              toeplitz)
+from flwave.verify import _sample_many
 
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
 LAM_CRIT = critical_lambda(-0.5, 1.0)
@@ -150,6 +153,25 @@ def test_far_field_nodes_are_masked_or_values():
     assert (grid.abs_q1[~grid.mask] <= 3.0 + 1e-9).all()
 
 
+BREATHERS = ("fig2a", "fig2b", "fig2c", "fig2d", "figYa", "figYb", "figYc",
+             "figYd", "figYe", "figYf", "figYg", "figYh")
+
+
+@pytest.mark.parametrize("name", BREATHERS)
+def test_breather_far_field_is_masked_or_bounded(name):
+    # a frame nine panel widths across: the masks run from none (fig2a,
+    # fig2d) to 1476 of 1681 nodes (fig2c), and the largest unmasked
+    # value is 0.80 of the bound (figYh)
+    s = SCENARIOS[name]
+    g = s.grid
+    cx, cy = (g.x_min + g.x_max) / 2, (g.y_min + g.y_max) / 2
+    wx, wy = 4.5 * (g.x_max - g.x_min), 4.5 * (g.y_max - g.y_min)
+    grid = evaluate_grid(s.background, s.charts, s.profile,
+                         GridSpec(cx - wx, cx + wx, cy - wy, cy + wy,
+                                  41, 41, g.t))
+    assert (grid.abs_q1[~grid.mask] <= 3 * s.background.d1).all()
+
+
 # -- stacked kernels (ports of the list-based helpers' tests) -----------------
 
 
@@ -276,7 +298,104 @@ def test_pde_residual_and_peak_search_batch_their_samples(monkeypatch):
     assert calls == [11]
     calls.clear()
     peak_search(sampler, GridSpec(0, 2, -2, 0, 5, 5), refine_iters=6)
-    assert calls == [25] + [4] * 6
+    # the scan; the first step's neighbours are scan nodes; then one call
+    # per two steps, the last step fetching only its own neighbours
+    assert calls == [25, 12, 12, 4]
+
+
+# -- peak_search's lookahead takes the path of one call per step --------------
+
+
+def _reference_peak_search(sampler, region, refine_iters):
+    """peak_search as one sampler call per step."""
+    def probe(points):
+        q1, _ = _sample_many(sampler, [(x, y, region.t) for x, y in points])
+        v = np.hypot(q1.real, q1.imag)
+        v[np.isnan(v)] = -math.inf
+        return v
+
+    coarse = [(x, y) for x in region.xs() for y in region.ys()]
+    values = probe(coarse)
+    k = int(np.argmax(values))
+    (bx, by), best_val = coarse[k], float(values[k])
+    sx = (region.x_max - region.x_min) / (region.nx - 1)
+    sy = (region.y_max - region.y_min) / (region.ny - 1)
+    for _ in range(refine_iters):
+        steps = [(bx + sx, by), (bx - sx, by), (bx, by + sy), (bx, by - sy)]
+        values = probe(steps)
+        k = int(np.argmax(values))
+        if values[k] > best_val:
+            (bx, by), best_val = steps[k], float(values[k])
+        else:
+            sx *= 0.5
+            sy *= 0.5
+    return (bx, by), best_val
+
+
+def _assert_search_follows_reference(monkeypatch, sampler, region):
+    for refine_iters in (0, 1, 5, 40):
+        calls = []
+
+        def recorded(sampler, points):
+            calls.append(points)
+            return _sample_many(sampler, points)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_sample_many", recorded)
+            found = peak_search(sampler, region, refine_iters)
+        want = _reference_peak_search(sampler, region, refine_iters)
+        assert repr(found) == repr(want)
+        assert len(calls) <= 1 + (refine_iters + 1) // 2
+        sent = [p for points in calls for p in points]
+        assert len(sent) == len(set(sent))
+
+
+PROBE_FAMILIES = ("fig1a", "fig1e", "fig2a", "figYa", "fig3a", "fig3d",
+                  "fig4a", "fig5a", "fig6a")
+
+
+@pytest.mark.parametrize("name", PROBE_FAMILIES)
+def test_peak_search_matches_one_call_per_step(monkeypatch, name):
+    s = SCENARIOS[name]
+    sampler = solution_sampler(s.background, s.charts, s.profile)
+    rng = random.Random(name)
+    for _ in range(2):
+        cx, cy = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        wx, wy = rng.uniform(0.3, 2), rng.uniform(0.3, 2)
+        region = GridSpec(cx - wx, cx + wx, cy - wy, cy + wy,
+                          rng.randint(3, 7), rng.randint(3, 7), s.grid.t)
+        _assert_search_follows_reference(monkeypatch, sampler, region)
+
+
+def test_peak_search_matches_one_call_per_step_past_gaps(monkeypatch):
+    # the x = +-400 columns overflow
+    _assert_search_follows_reference(
+        monkeypatch, solution_sampler(ZeroBackground(), SOLITON, LIN),
+        GridSpec(-400, 400, -5, 5, 5, 3))
+
+
+def test_peak_search_matches_one_call_per_step_on_ties(monkeypatch):
+    # |q1| = 1 everywhere: no neighbour improves on the scan's first node
+    def plane(point):
+        return FieldSample(*plane_wave_field(SEED_R, point))
+    _assert_search_follows_reference(monkeypatch, plane,
+                                     GridSpec(-2, 2, -1, 3, 9, 9))
+
+    # the rogue crest in terraces: improving neighbours tie, and which
+    # one the step takes decides where the search ends
+    def terraced(point):
+        v = math.floor(8 * abs(closed_form_rw1(point))) / 8
+        return FieldSample(v, v)
+    _assert_search_follows_reference(monkeypatch, terraced,
+                                     GridSpec(-2, 1, 1.5, 4, 6, 4))
+
+
+def test_peak_search_matches_one_call_per_step_point_by_point(monkeypatch):
+    def rw1(point):
+        v = closed_form_rw1(point)
+        return FieldSample(v, v)
+    _assert_search_follows_reference(monkeypatch, rw1,
+                                     GridSpec(-2.3, 3.1, -3.2, 1.7, 7, 6))
 
 
 def _exact_solve(a, b):

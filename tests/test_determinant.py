@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flwave import SingularPointError, SquareMatrix, det, solve
+from flwave import ConfigError, SingularPointError, SquareMatrix, det, solve
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -45,9 +45,10 @@ def test_diagonal():
 
 
 def test_non_square_rejected():
-    with pytest.raises(ValueError):
+    # a ConfigError, which is a ValueError
+    with pytest.raises(ConfigError):
         SquareMatrix([[1, 2], [3, 4], [5, 6]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SquareMatrix([])
 
 
