@@ -5,9 +5,9 @@ central finite differences of sampled fields, the first-order rogue wave
 has its own closed-form evaluation, and the Lax matrices are written out
 from their printed entries.  Agreement between these checks and the
 determinant pipeline is the package's correctness argument.  The
-engine's sampler is recognised only to hand it a stencil's or a search
-lookahead's field points in one call; any other point -> FieldSample
-callable is sampled one point at a time.
+engine's sampler is recognised only to hand it the field points of a
+batch of stencils or of a search lookahead in one call; any other
+point -> FieldSample callable is sampled one point at a time.
 """
 from __future__ import annotations
 
@@ -66,19 +66,23 @@ def _sample_many(sampler, points):
     return q[0], q[1]
 
 
-def _stencil(sampler, point, offsets) -> list:
-    """The FieldSample at point + each (dx, dy, dt) offset, from one call
-    of the engine's sampler.  A gap inside the stencil leaves the check
-    unformed, so it raises NumericError (not a SingularPointError) naming
-    the first offset that hits one."""
-    x, y, t = point
+def _stencils(sampler, points, offsets) -> list:
+    """For each point, the FieldSample at point + each (dx, dy, dt)
+    offset, all from one call of the engine's sampler.  A gap inside a
+    stencil leaves its check unformed, so it raises NumericError (not a
+    SingularPointError) naming the first check point whose stencil hits
+    one, and the first offset that does."""
     q1, q2 = _sample_many(sampler, [(x + dx, y + dy, t + dt)
+                                    for x, y, t in points
                                     for dx, dy, dt in offsets])
     gaps = np.isnan(q1) | np.isnan(q2)
     if gaps.any():
-        raise NumericError(
-            f"singular sample at offset {offsets[int(np.argmax(gaps))]}")
-    return [FieldSample(complex(a), complex(b)) for a, b in zip(q1, q2)]
+        k, o = divmod(int(np.argmax(gaps)), len(offsets))
+        raise NumericError(f"singular sample at offset {offsets[o]} "
+                           f"of check point {points[k]}")
+    samples = [FieldSample(a, b) for a, b in zip(q1.tolist(), q2.tolist())]
+    n = len(offsets)
+    return [samples[k:k + n] for k in range(0, len(samples), n)]
 
 
 # pde_residual's stencil: the base point, the two x neighbours, and the
@@ -88,33 +92,44 @@ _PDE_OFFSETS = ((0, 0, 0), (1, 0, 0), (-1, 0, 0),
                 (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0))
 
 
-def pde_residual(sampler, point, step: float = 1e-3) -> ResidualReport:
+def pde_residual(sampler, points, step: float = 1e-3):
     """Left-hand sides of both component equations by central differences.
 
     Mixed partials use the symmetric 4-point cross; q_x the 2-point
-    central difference.  Everything is second order in the step.
+    central difference.  Everything is second order in the step.  At one
+    point (x, y, t), its ResidualReport; at a (P, 3) array of points, a
+    list of P reports, whose 11 P samples are one call of the engine's
+    sampler.  A report does not depend on the other points of its call:
+    the arithmetic is per point, in Python complex.
     """
+    one = np.ndim(points) == 1
+    points = ([tuple(points)] if one
+              else [tuple(p) for p in np.asarray(points, float).tolist()])
     h = step
-    (c, xp, xm, pp_t, pm_t, mp_t, mm_t, pp_y, pm_y, mp_y, mm_y) = _stencil(
-        sampler, point, [(i * h, j * h, k * h) for i, j, k in _PDE_OFFSETS])
+    stencils = _stencils(sampler, points,
+                         [(i * h, j * h, k * h) for i, j, k in _PDE_OFFSETS])
 
     def second(ppa, pma, mpa, mma):
         return (ppa - pma - mpa + mma) / (4 * h * h)
 
-    q1x = (xp.q1 - xm.q1) / (2 * h)
-    q2x = (xp.q2 - xm.q2) / (2 * h)
-    q1xt = second(pp_t.q1, pm_t.q1, mp_t.q1, mm_t.q1)
-    q2xt = second(pp_t.q2, pm_t.q2, mp_t.q2, mm_t.q2)
-    q1xy = second(pp_y.q1, pm_y.q1, mp_y.q1, mm_y.q1)
-    q2xy = second(pp_y.q2, pm_y.q2, mp_y.q2, mm_y.q2)
+    reports = []
+    for point, (c, xp, xm, pp_t, pm_t, mp_t, mm_t,
+                pp_y, pm_y, mp_y, mm_y) in zip(points, stencils):
+        q1x = (xp.q1 - xm.q1) / (2 * h)
+        q2x = (xp.q2 - xm.q2) / (2 * h)
+        q1xt = second(pp_t.q1, pm_t.q1, mp_t.q1, mm_t.q1)
+        q2xt = second(pp_t.q2, pm_t.q2, mp_t.q2, mm_t.q2)
+        q1xy = second(pp_y.q1, pm_y.q1, mp_y.q1, mm_y.q1)
+        q2xy = second(pp_y.q2, pm_y.q2, mp_y.q2, mm_y.q2)
 
-    a1 = abs(c.q1) ** 2
-    a2 = abs(c.q2) ** 2
-    r1 = (1j * q1xt - 1j * q1xy + 1j * c.q1 + a1 * q1x + 2 * q1x
-          + 0.5 * a2 * q1x + 0.5 * c.q1 * c.q2.conjugate() * q2x)
-    r2 = (1j * q2xt - 1j * q2xy + 1j * c.q2 + a2 * q2x + 2 * q2x
-          + 0.5 * a1 * q2x + 0.5 * c.q2 * c.q1.conjugate() * q1x)
-    return ResidualReport(r1, r2, step, tuple(point))
+        a1 = abs(c.q1) ** 2
+        a2 = abs(c.q2) ** 2
+        r1 = (1j * q1xt - 1j * q1xy + 1j * c.q1 + a1 * q1x + 2 * q1x
+              + 0.5 * a2 * q1x + 0.5 * c.q1 * c.q2.conjugate() * q2x)
+        r2 = (1j * q2xt - 1j * q2xy + 1j * c.q2 + a2 * q2x + 2 * q2x
+              + 0.5 * a1 * q2x + 0.5 * c.q2 * c.q1.conjugate() * q1x)
+        reports.append(ResidualReport(r1, r2, step, point))
+    return reports[0] if one else reports
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +179,8 @@ def lax_residual(phi_sampler, field_sampler, lam: complex, point,
     """
     h = step
     x, y, t = point
-    c, xp, xm = _stencil(field_sampler, point,
-                         [(0.0, 0.0, 0.0), (h, 0.0, 0.0), (-h, 0.0, 0.0)])
+    c, xp, xm = _stencils(field_sampler, [point],
+                          [(0.0, 0.0, 0.0), (h, 0.0, 0.0), (-h, 0.0, 0.0)])[0]
     try:
         phi_c = _phi_vec(phi_sampler, point)
         phi_xp = _phi_vec(phi_sampler, (x + h, y, t))
@@ -198,7 +213,8 @@ def zero_curvature_residual(field_sampler, lam: complex, point,
     offsets = list(dict.fromkeys(
         [(dx, dy, dt) for dy, dt in shifts for dx in (h, -h)]
         + [(dx, 0.0, 0.0) for dx in (h, -h, 0.0)]))
-    samples = dict(zip(offsets, _stencil(field_sampler, point, offsets)))
+    samples = dict(zip(offsets,
+                       _stencils(field_sampler, [point], offsets)[0]))
 
     def U_at(dy: float, dt: float) -> np.ndarray:
         fp, fm = samples[(h, dy, dt)], samples[(-h, dy, dt)]

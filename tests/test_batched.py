@@ -12,9 +12,10 @@ import pytest
 
 from flwave import (DeformationProfile, DtConfig, FieldSample, GridSpec,
                     PlaneWaveSeed, RogueChart, SingularPointError,
-                    ZeroBackground, ZeroSeedChart, closed_form_rw1,
-                    critical_lambda, dt_engine, evaluate_grid, pde_residual,
-                    peak_search, plane_wave_field, solution_sampler, verify)
+                    ZeroBackground, ZeroSeedChart, background_field,
+                    closed_form_rw1, critical_lambda, dt_engine,
+                    evaluate_grid, pde_residual, peak_search,
+                    plane_wave_field, solution_sampler, verify)
 from flwave.cli import SCENARIOS
 from flwave.dt_engine import CHUNK, evaluate_points
 from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, OVERFLOW, ZERO_PIVOT,
@@ -26,6 +27,8 @@ from flwave.verify import _sample_many
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
 LAM_CRIT = critical_lambda(-0.5, 1.0)
 LIN = DeformationProfile.LINEAR
+PROBE_FAMILIES = ("fig1a", "fig1e", "fig2a", "figYa", "fig3a", "fig3d",
+                  "fig4a", "fig5a", "fig6a")
 SOLITON = DtConfig((ZeroSeedChart(1 + 1j, h1=1 + 1j),))
 ROGUE = DtConfig((RogueChart(LAM_CRIT),))
 
@@ -297,10 +300,91 @@ def test_pde_residual_and_peak_search_batch_their_samples(monkeypatch):
     pde_residual(sampler, (0.4, -0.3, 0.0))
     assert calls == [11]
     calls.clear()
+    pde_residual(sampler, [(0.4, -0.3, 0.0), (1.0, -1.0, 0.0), (2, 0, 0)])
+    assert calls == [33]
+    calls.clear()
     peak_search(sampler, GridSpec(0, 2, -2, 0, 5, 5), refine_iters=6)
     # the scan; the first step's neighbours are scan nodes; then one call
     # per two steps, the last step fetching only its own neighbours
     assert calls == [25, 12, 12, 4]
+
+
+# -- a many-point pde_residual gives each point's one-point report -----------
+
+
+def _reference_pde_residual(sampler, point, step):
+    """pde_residual of one point as one 11-sample stencil call."""
+    h = step
+    x, y, t = point
+    offsets = [(i * h, j * h, k * h) for i, j, k in verify._PDE_OFFSETS]
+    q1, q2 = _sample_many(sampler, [(x + dx, y + dy, t + dt)
+                                    for dx, dy, dt in offsets])
+    assert not (np.isnan(q1) | np.isnan(q2)).any()
+    (c, xp, xm, pp_t, pm_t, mp_t, mm_t, pp_y, pm_y, mp_y, mm_y) = [
+        FieldSample(complex(a), complex(b)) for a, b in zip(q1, q2)]
+
+    def second(ppa, pma, mpa, mma):
+        return (ppa - pma - mpa + mma) / (4 * h * h)
+
+    q1x = (xp.q1 - xm.q1) / (2 * h)
+    q2x = (xp.q2 - xm.q2) / (2 * h)
+    q1xt = second(pp_t.q1, pm_t.q1, mp_t.q1, mm_t.q1)
+    q2xt = second(pp_t.q2, pm_t.q2, mp_t.q2, mm_t.q2)
+    q1xy = second(pp_y.q1, pm_y.q1, mp_y.q1, mm_y.q1)
+    q2xy = second(pp_y.q2, pm_y.q2, mp_y.q2, mm_y.q2)
+
+    a1 = abs(c.q1) ** 2
+    a2 = abs(c.q2) ** 2
+    r1 = (1j * q1xt - 1j * q1xy + 1j * c.q1 + a1 * q1x + 2 * q1x
+          + 0.5 * a2 * q1x + 0.5 * c.q1 * c.q2.conjugate() * q2x)
+    r2 = (1j * q2xt - 1j * q2xy + 1j * c.q2 + a2 * q2x + 2 * q2x
+          + 0.5 * a1 * q2x + 0.5 * c.q2 * c.q1.conjugate() * q1x)
+    return verify.ResidualReport(r1, r2, step, tuple(point))
+
+
+def _assert_many_equal_one(sampler, points):
+    for step in (1e-3, 5e-4):
+        many = pde_residual(sampler, np.array(points), step)
+        assert len(many) == len(points)
+        for point, report in zip(points, many):
+            assert repr(report) == repr(pde_residual(sampler, point, step))
+            assert repr(report) == repr(
+                _reference_pde_residual(sampler, point, step))
+
+
+@pytest.mark.parametrize("name", PROBE_FAMILIES)
+def test_pde_residual_of_many_points_equals_one_point_calls(name):
+    s = SCENARIOS[name]
+    sampler = solution_sampler(s.background, s.charts, s.profile)
+    g = s.grid
+    rng = random.Random(name)
+    cand = [(rng.uniform(g.x_min, g.x_max), rng.uniform(g.y_min, g.y_max),
+             g.t) for _ in range(200)]
+    q1 = sampler(np.array(cand)).q1
+    # on structure: |q1| off the background's by at least 0.1
+    points = [p for p, v in zip(cand, q1.tolist())
+              if abs(abs(v) - abs(background_field(s.background, p)[0]))
+              >= 0.1][:2]
+    assert len(points) == 2
+    _assert_many_equal_one(sampler, points)
+
+
+def test_pde_residual_of_many_points_samples_point_by_point():
+    calls = []
+
+    def rw1(point):
+        calls.append(point)
+        v = closed_form_rw1(point)
+        return FieldSample(v, v)
+
+    rng = random.Random(17)
+    points = [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1, 1))
+              for _ in range(4)]
+    _assert_many_equal_one(rw1, points)
+    # 11 samples per report: 2 steps x (4 many-point, 4 one-point and 4
+    # reference reports)
+    assert len(calls) == 2 * 12 * 11
+    assert all(type(c) is float for p in calls for c in p)
 
 
 # -- peak_search's lookahead takes the path of one call per step --------------
@@ -348,10 +432,6 @@ def _assert_search_follows_reference(monkeypatch, sampler, region):
         assert len(calls) <= 1 + (refine_iters + 1) // 2
         sent = [p for points in calls for p in points]
         assert len(sent) == len(set(sent))
-
-
-PROBE_FAMILIES = ("fig1a", "fig1e", "fig2a", "figYa", "fig3a", "fig3d",
-                  "fig4a", "fig5a", "fig6a")
 
 
 @pytest.mark.parametrize("name", PROBE_FAMILIES)

@@ -1,12 +1,15 @@
 """Command-line surface: scenarios, family flags, exit codes."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from flwave import BreatherChart, cli
+from flwave import (BreatherChart, cli, dt_engine, evaluate_grid,
+                    pde_residual, solution_sampler)
 from flwave.cli import SCENARIOS, main
+from flwave.verify import ResidualReport
 from flwave.dt_engine import spec_from_json
 
 ALL_PANELS = (
@@ -343,18 +346,90 @@ def test_hybrid_lambda_just_off_critical_runs_as_a_breather(tmp_path):
 
 
 def test_verify_picks_points_on_a_small_serial_frame(monkeypatch, capsys):
+    # the 19 x 19 interior of a 21 x 21 frame in one call, then one
+    # 5-point stencil batch per step, all in this process
     calls = []
-    inner = cli.evaluate_grid
+    inner = dt_engine.evaluate_points
 
-    def counted(background, config, profile, spec, workers=1):
-        calls.append((spec.nx * spec.ny, workers))
-        return inner(background, config, profile, spec, workers=workers)
+    def counted(background, config, profile, points):
+        calls.append(len(points))
+        return inner(background, config, profile, points)
 
-    monkeypatch.setattr(cli, "evaluate_grid", counted)
+    monkeypatch.setattr(dt_engine, "evaluate_points", counted)
     assert main(["verify", "fig3a"]) == 0
     assert "fig3a: verify PASS" in capsys.readouterr().out
-    assert calls
-    assert all(nodes <= 21 * 21 and workers == 1 for nodes, workers in calls)
+    assert calls == [361, 55, 55]
+
+
+def test_verify_that_checks_no_ratio_fails(monkeypatch, capsys):
+    def zero(sampler, points, step):
+        return [ResidualReport(0j, 0j, step, p) for p in points]
+
+    monkeypatch.setattr(cli, "pde_residual", zero)
+    assert main(["verify", "fig3a"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("skipping ratio" in line for line in lines) == 5
+    assert lines[-1] == "fig3a: no usable sample points"
+
+
+def _grid_verify_points(field):
+    """Check points as picked from a FieldGrid of the whole frame."""
+    spec = field.spec
+    xs, ys = spec.xs(), spec.ys()
+    cand = []
+    a = field.abs_q1
+    for j in range(1, spec.ny - 1):
+        for i in range(1, spec.nx - 1):
+            if not field.mask[j, i]:
+                cand.append((float(a[j, i]), xs[i], ys[j]))
+    cand.sort(reverse=True)
+    min_sep = max(spec.x_max - spec.x_min, spec.y_max - spec.y_min) / 10
+    picked = []
+    for mag, x, y in cand:
+        if any(abs(x - px) + abs(y - py) < min_sep for _, px, py in picked):
+            continue
+        picked.append((mag, x, y))
+        if len(picked) == cli.VERIFY_POINTS:
+            break
+    return [(x, y, spec.t) for _, x, y in picked]
+
+
+def _grid_verify(s):
+    """verify as a 21 x 21 evaluate_grid, then residuals point by point."""
+    frame = dataclasses.replace(s.grid, nx=cli.VERIFY_NODES,
+                                ny=cli.VERIFY_NODES)
+    field = evaluate_grid(s.background, s.charts, s.profile, frame)
+    sampler = solution_sampler(s.background, s.charts, s.profile)
+    points = _grid_verify_points(field)
+    if not points:
+        print(f"{s.name}: no usable sample points")
+        return 3
+    ok = True
+    for pt in points:
+        coarse = pde_residual(sampler, pt, cli.VERIFY_STEP)
+        fine = pde_residual(sampler, pt, cli.VERIFY_STEP / 2)
+        if coarse.max_abs == 0.0:
+            print(f"{s.name}: ({pt[0]:.3f},{pt[1]:.3f}) residual exactly "
+                  "zero, skipping ratio")
+            continue
+        ratio = fine.max_abs / coarse.max_abs
+        good = cli.RATIO_LO <= ratio <= cli.RATIO_HI
+        ok = ok and good
+        print(f"{s.name}: point ({pt[0]:.3f},{pt[1]:.3f}) "
+              f"residual ratio {ratio:.4f} "
+              f"{'ok' if good else 'OUT OF RANGE'}")
+    print(f"{s.name}: verify {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 3
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig1e", "fig6a"])
+def test_verify_prints_what_the_grid_loop_prints(capsys, name):
+    rc = cli.verify_scenario(SCENARIOS[name])
+    out = capsys.readouterr().out
+    want_rc = _grid_verify(SCENARIOS[name])
+    assert out == capsys.readouterr().out
+    assert rc == want_rc == 0
+    assert out.count(" ok\n") == cli.VERIFY_POINTS
 
 
 @pytest.mark.parametrize("family", ["rogue", "hybrid"])

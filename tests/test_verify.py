@@ -132,6 +132,20 @@ def test_residual_singular_sample_maps_to_stencil_error():
     assert not isinstance(exc.value, SingularPointError)
 
 
+def test_residual_gap_names_its_check_point():
+    # the soliton's x = +-400 columns overflow; the first point with a gap
+    # in its stencil is the fourth
+    g = GridSpec(-400, 400, -5, 5, 5, 3)
+    points = [(x, y, g.t) for y in g.ys() for x in g.xs()[1:]]
+    with pytest.raises(NumericError) as exc:
+        pde_residual(FAR_SOLITON, points)
+    assert str(exc.value) == ("singular sample at offset (0.0, 0.0, 0.0) "
+                              "of check point (400.0, -5.0, 0.0)")
+    assert not isinstance(exc.value, SingularPointError)
+    # the unmasked columns form their reports
+    assert len(pde_residual(FAR_SOLITON, points[:3])) == 3
+
+
 def test_residual_overflowing_sample_maps_to_stencil_error():
     with pytest.raises(NumericError, match="singular sample at offset") as exc:
         pde_residual(FAR_SOLITON, (400.0, 0.0, 0.0))
