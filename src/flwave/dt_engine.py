@@ -11,10 +11,12 @@ replaced by one vector r, so by Cramer's rule the ratios are entries
 3N-2 and 3N-1 of the solution z of Omega_1 z = r: one refined solve per
 point gives both.
 
-Points are evaluated CHUNK at a time: their jets are arrays with one
-column per point, Omega_1 is a (P, 3N, 3N) stack, and one stacked solve
-refines them all.  A point's value does not depend on the chunk it is
-in.  evaluate_solution, assemble_system, build_triple and the sampler's
+Points are evaluated chunk_points(config) at a time: their jets are
+arrays with one column per point, Omega_1 is a (P, 3N, 3N) stack, and
+one stacked solve refines them all.  A chunk holds CHUNK_ENTRIES entries
+of Omega_1 but at least 64 points: 576, 144, 64 and 64 points for
+N = 1..4.  A point's value does not depend on the chunk it is in.
+evaluate_solution, assemble_system, build_triple and the sampler's
 one-point call are the one-point faces of the same code.  spec_from_json
 reads a whole run (seed, profile, grid and charts) from its JSON form.
 """
@@ -39,9 +41,10 @@ from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
-# points per evaluation chunk: larger chunks buy little speed and cost
-# peak memory (the refinement's temporaries grow with it)
-CHUNK = 64
+# Omega_1 entries per evaluation chunk, P * (3N)^2: it bounds peak memory
+# (the refinement's temporaries grow with it, to about 1.5 MB), while a
+# call's fixed cost is spread over P points.  This is 64 points at N = 3.
+CHUNK_ENTRIES = 64 * 81
 _SPEC_KEYS = {"seed", "profile", "grid", "charts"}
 
 
@@ -336,8 +339,15 @@ def build_triple(chart: SpectralChart, background: SeedBackground,
                                    *_one_point(point)), point)
 
 
+def chunk_points(config: DtConfig) -> int:
+    """Points per evaluation chunk of the transformation: as many as
+    CHUNK_ENTRIES entries of Omega_1 hold, and at least 64."""
+    return max(64, CHUNK_ENTRIES // (3 * config.folds) ** 2)
+
+
 def _evaluate_chunk(background, config, profile, x, y, t):
-    """(q1, q2, why) at up to CHUNK points given as contiguous arrays."""
+    """(q1, q2, why) at up to chunk_points(config) points given as
+    contiguous arrays."""
     over = np.zeros(len(x), bool)
     phis = []
     for chart in config.charts:
@@ -365,8 +375,9 @@ def evaluate_points(background: SeedBackground, config: DtConfig,
     why each gap is one (numerics.GAP_REASONS; 0 for a value).  A gap is
     a point whose exponentials overflow, whose Omega_1 has a zero pivot or
     a non-finite entry, whose solution or field is not finite, or whose
-    refined solve does not converge.  The points are evaluated CHUNK at a
-    time; each one's value is the same in any chunk.
+    refined solve does not converge.  The points are evaluated
+    chunk_points(config) at a time; each one's value is the same in any
+    chunk.
     """
     check_compat(background, config)
     # one contiguous row per coordinate, as the one-point call has it
@@ -375,9 +386,10 @@ def evaluate_points(background: SeedBackground, config: DtConfig,
     q1 = np.empty(size, complex)
     q2 = np.empty(size, complex)
     why = np.empty(size, np.int8)
+    step = chunk_points(config)
     with np.errstate(all="ignore"):
-        for s in range(0, size, CHUNK):
-            part = slice(s, s + CHUNK)
+        for s in range(0, size, step):
+            part = slice(s, s + step)
             q1[part], q2[part], why[part] = _evaluate_chunk(
                 background, config, profile, *cols[:, part])
     return q1, q2, why

@@ -1,11 +1,11 @@
 """Dense grid evaluation, structured export, and heatmap rendering.
 
 Grids are row-major with y as the outer axis and x fastest.  The nodes
-are evaluated in CHUNK-point pieces of that order, in this process or on
-a process pool that starts at most one process per chunk; a node's value
-does not depend on its chunk, so a pooled grid is bitwise identical to a
-serial one.  The CSV and binary exports are both written from one node
-table.
+are evaluated in dt_engine.chunk_points-node pieces of that order, in
+this process or on a process pool that starts at most one process per
+chunk; a node's value does not depend on its chunk, so a pooled grid is
+bitwise identical to a serial one.  The CSV and binary exports are both
+written from one node table.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .dt_engine import CHUNK, DtConfig, evaluate_points
+from .dt_engine import DtConfig, chunk_points, evaluate_points
 from .errors import ConfigError
 from .model import DeformationProfile, GridSpec, SeedBackground
 
@@ -84,7 +84,8 @@ def evaluate_grid(background: SeedBackground, config: DtConfig,
     """Every node of the grid, on up to `workers` processes but never more
     than one per chunk, and in this process when that is one."""
     size = spec.nx * spec.ny
-    chunks = -(-size // CHUNK)
+    chunk = chunk_points(config)
+    chunks = -(-size // chunk)
     procs = min(workers, chunks)
     run = partial(_eval_nodes, background, config, profile, spec)
     if procs <= 1:
@@ -93,8 +94,8 @@ def evaluate_grid(background: SeedBackground, config: DtConfig,
         # imported here, as its ~20 ms import buys nothing for a grid that
         # runs in this process
         from concurrent.futures import ProcessPoolExecutor
-        # CHUNK-aligned spans, about four per process
-        per = CHUNK * -(-chunks // (procs * 4))
+        # chunk-aligned spans, about four per process
+        per = chunk * -(-chunks // (procs * 4))
         spans = [(s, min(s + per, size)) for s in range(0, size, per)]
         with ProcessPoolExecutor(max_workers=procs) as pool:
             parts = list(pool.map(run, spans))

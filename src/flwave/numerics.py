@@ -390,20 +390,23 @@ def _equilibrate(a: np.ndarray):
 def _lapack_solve(a: np.ndarray, b: np.ndarray):
     """x with a x = b for each system of the stack, and which systems met
     a zero pivot (None when none did; their x is NaN).  A singular matrix
-    fails a stacked call as a whole, so that stack is then solved one
-    system at a time; each system's result is the same either way."""
+    fails a stacked call as a whole, so that stack is then solved in
+    halves, and each half that fails in halves again, down to the one
+    system that fails alone: one singular system of P costs at most
+    2 log2(P) + 1 calls.  Each system's result is the same either way."""
     try:
         # b as (P, n, 1): numpy 2 reads a (P, n) right-hand side otherwise
         return np.linalg.solve(a, b[..., None])[..., 0], None
     except np.linalg.LinAlgError:
         pass
     x = np.full(b.shape, np.nan, complex)
-    singular = np.zeros(len(a), bool)
-    for p in range(len(a)):
-        try:
-            x[p] = np.linalg.solve(a[p:p + 1], b[p:p + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[p] = True
+    singular = np.ones(len(a), bool)
+    if len(a) > 1:
+        half = len(a) // 2
+        for part in (slice(0, half), slice(half, len(a))):
+            xp, sp = _lapack_solve(a[part], b[part])
+            x[part] = xp
+            singular[part] = False if sp is None else sp
     return x, singular
 
 

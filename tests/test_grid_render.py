@@ -25,6 +25,7 @@ from flwave import (
     load_binary_field,
     render_heatmap,
 )
+from flwave.dt_engine import chunk_points
 from flwave.grid_render import (
     BINARY_MAGIC,
     COLORMAP_TABLE,
@@ -327,6 +328,7 @@ def test_grid_that_fits_in_one_chunk_runs_in_this_process(monkeypatch):
 
 def test_pool_starts_at_most_one_process_per_chunk(monkeypatch):
     started = []
+    spans = []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -339,15 +341,19 @@ def test_pool_starts_at_most_one_process_per_chunk(monkeypatch):
             return False
 
         def map(self, fn, items):
+            spans.extend(items)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         SerialPool)
     cfg = DtConfig((RogueChart(LAM_CRIT),))
-    spec = GridSpec(-2, 2, -2, 2, 11, 11)  # 121 nodes: two chunks
+    # chunk_points(cfg) + 8 nodes: two chunks
+    chunk = chunk_points(cfg)
+    spec = GridSpec(-2, 2, -2, 2, chunk // 8 + 1, 8)
     pooled = evaluate_grid(SEED_R, cfg, LIN, spec, workers=8)
     serial = evaluate_grid(SEED_R, cfg, LIN, spec, workers=1)
     assert started == [2]
+    assert spans == [(0, chunk), (chunk, chunk + 8)]
     for name in ("q1", "q2", "mask"):
         assert getattr(pooled, name).tobytes() \
             == getattr(serial, name).tobytes()
