@@ -33,7 +33,7 @@ from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, _number, background_field, grid_from_json,
                     profile_from_json, seed_from_json)
 from .numerics import (GAP_REASONS, NON_FINITE, OVERFLOW, Jet, SquareMatrix,
-                       jet_div, jet_mul, series_mul, solve_stack,
+                       jet_div, jet_mul, scratch, series_mul, solve_stack,
                        toeplitz)
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
                        ZeroSeedChart, _one_point, _one_triple, breather_jets,
@@ -41,9 +41,11 @@ from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
-# Omega_1 entries per evaluation chunk, P * (3N)^2: it bounds peak memory
-# (the refinement's temporaries grow with it, to about 1.5 MB), while a
-# call's fixed cost is spread over P points.  This is 64 points at N = 3.
+# Omega_1 entries per evaluation chunk, P * (3N)^2: it bounds memory,
+# while a call's fixed cost is spread over P points.  A chunk's large
+# temporaries live in each thread's numerics workspace, which grows to
+# fit the largest chunk and is then reused: about 1.5 MB at N = 1 or 2,
+# 1.8 MB at N = 3.  This is 64 points at N = 3.
 CHUNK_ENTRIES = 64 * 81
 _SPEC_KEYS = {"seed", "profile", "grid", "charts"}
 
@@ -167,21 +169,26 @@ def _assemble(config: DtConfig, phis):
     point jets (phi1, phi2, phi3), of order power * multiplicity."""
     n = config.folds
     width = phis[0][0].shape[1]
-    sources = []
-    for chart, (phi1, phi2, phi3) in zip(config.charts, phis):
-        pows, rows = _power_jets(chart.lam, phi1.shape[0] - 1,
-                                 _jet_power(chart), n)
+    ks = [phi1.shape[0] for phi1, _, _ in phis]
+    src = scratch("assembly", (3 * (2 * n + 1) * sum(ks) + 1, width),
+                  complex)
+    at = 0
+    for chart, k, (phi1, phi2, phi3) in zip(config.charts, ks, phis):
+        pows, rows = _power_jets(chart.lam, k - 1, _jet_power(chart), n)
         # lambda^m * phi_j for every m, each coefficient of which is one
         # derivative row's entry
+        jets = [phi1, phi2] if phi3 is phi2 else [phi1, phi2, phi3]
+        size = len(jets) * (2 * n + 1) * k
+        series_mul(rows, np.array(jets)[:, None], out=src[at:at + size]
+                   .reshape(len(jets), 2 * n + 1, k, width))
+        at += size
         if phi3 is phi2:
-            sources += list(series_mul(rows, np.array([phi1, phi2])[:, None]))
-            sources.append(np.repeat(pows[..., None], width, axis=-1))
-        else:
-            sources += list(series_mul(
-                rows, np.array([phi1, phi2, phi3])[:, None]))
-    src = np.concatenate([a.reshape(-1, width) for a in sources]
-                         + [np.zeros((1, width), complex)])
+            src[at:at + pows.size] = pows.reshape(-1, 1)
+            at += pows.size
+    src[at] = 0
     idx, conj, neg = _layout(config, tuple(p[2] is p[1] for p in phis))
+    # a fresh array: np.take into a buffer copies the transposed source
+    # first, and is slower than this gather
     g = src.T[:, idx]
     np.conjugate(g, out=g, where=conj)
     np.negative(g, out=g, where=neg)

@@ -14,11 +14,16 @@ A stack of small systems is equilibrated by powers of two and solved by
 one stacked LAPACK call; each solution is refined against residuals
 computed with error-free transformations (Dekker's TwoProd, Knuth's
 TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).
+
+The large temporaries of an evaluation chunk live in a per-thread
+workspace (`scratch`): flat buffers that only grow and are reused from
+chunk to chunk, so a warm evaluation allocates none of them afresh.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 
 import numpy as np
 
@@ -241,17 +246,64 @@ def jet_sqrt_even(a: Jet) -> Jet:
 
 
 # ---------------------------------------------------------------------------
+# per-thread workspace
+# ---------------------------------------------------------------------------
+
+
+class _Workspace(threading.local):
+    """One thread's scratch memory: a flat float64 buffer per name, which
+    only grows."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_workspace = _Workspace()
+# arrays of fewer float64 words are allocated afresh: the allocator
+# recycles them without faulting, and a view costs more than they do
+SCRATCH_MIN_WORDS = 4096
+
+
+def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialised float or complex array of this shape, over this
+    thread's buffer `name` if it has at least SCRATCH_MIN_WORDS words.
+
+    The next call with the same name in the same thread may hand out the
+    same memory, so each name belongs to one kernel, which writes the
+    array before reading it and returns nothing that aliases it.  A
+    buffer grows to the largest shape asked of it and is then kept, so
+    repeated chunks reuse their memory instead of faulting it back in.
+    """
+    words = math.prod(shape) * (2 if dtype is complex else 1)
+    if words < SCRATCH_MIN_WORDS:
+        return np.empty(shape, dtype)
+    buf = _workspace.buffers.get(name)
+    if buf is None or len(buf) < words:
+        buf = _workspace.buffers[name] = np.empty(words)
+    return buf[:words].view(dtype).reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # jets of many points: complex arrays of shape (order + 1, P)
 # ---------------------------------------------------------------------------
 
 
-def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Elementwise complex a * b with broadcasting, rounded as Python's
-    complex product is, whatever the layout."""
-    re = a.real * b.real - a.imag * b.imag
-    out = np.empty(re.shape, complex)
+    complex product is, whatever the layout; into out when given (it must
+    not overlap a or b)."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    # callers give out for large products: then re comes from the
+    # workspace too
+    re = np.multiply(ar, br,
+                     None if out is None else scratch("cmul", out.shape))
+    tmp = np.multiply(ai, bi, scratch("cmul_tmp", re.shape))
+    np.subtract(re, tmp, re)
+    if out is None:
+        out = np.empty(re.shape, complex)
     out.real = re
-    out.imag = a.real * b.imag + a.imag * b.real
+    np.multiply(ar, bi, re)
+    out.imag = np.add(re, np.multiply(ai, br, tmp), re)
     return out
 
 
@@ -283,18 +335,22 @@ def toeplitz(s: np.ndarray) -> np.ndarray:
     return t
 
 
-def series_mul(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def series_mul(t: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
     """Cauchy products of static jets, given by their Toeplitz rows t
     (..., K, K), with point jets phi (..., K, P), leading axes broadcast:
-    (..., K, P).
+    (..., K, P), into out when given.
 
     Coefficient n adds t[n, j] * phi[j] for j = n down to 0, the order in
     which jet_mul adds them.  Products above the diagonal are never added,
     so a non-finite high coefficient of phi cannot reach a lower one.
     """
     k = phi.shape[-2]
-    terms = cmul(t[..., None], phi[..., None, :, :])
-    out = np.zeros(terms.shape[:-3] + terms.shape[-2:], complex)
+    t, phi = t[..., None], phi[..., None, :, :]
+    terms = cmul(t, phi, scratch("series_mul", np.broadcast(t, phi).shape,
+                                 complex))
+    if out is None:
+        out = np.empty(terms.shape[:-3] + terms.shape[-2:], complex)
+    out[...] = 0
     for j in range(k - 1, -1, -1):
         out[..., j:, :] += terms[..., j:, j, :]
     return out
@@ -410,65 +466,98 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray):
     return x, singular
 
 
-def _split(v: np.ndarray):
-    """Dekker's split v = hi + lo, each with at most 26 significant bits."""
-    t = _SPLITTER * v
-    hi = t - (t - v)
-    return hi, v - hi
+def _split(v: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """Dekker's split v = hi + lo, each with at most 26 significant bits,
+    written into hi and lo."""
+    np.multiply(_SPLITTER, v, hi)
+    np.subtract(hi, v, lo)
+    np.subtract(hi, lo, hi)
+    np.subtract(v, hi, lo)
+    return hi, lo
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray):
-    """s + e == a + b exactly, s = fl(a + b) (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, e: np.ndarray):
+    """s + e == a + b exactly, s = fl(a + b) (Knuth), written into s and
+    e; b is overwritten."""
+    np.add(a, b, s)
+    bb = np.subtract(s, a, e)
+    np.subtract(b, bb, b)
+    np.subtract(s, bb, e)
+    np.subtract(a, e, e)
+    np.add(e, b, e)
 
 
-def _neg_real_form(a: np.ndarray) -> np.ndarray:
-    """-[[re, -im], [im, re]] of a (P, n, n) stack: minus the (P, 2n, 2n)
-    real matrix acting on [x.re, x.im]."""
+def _neg_real_form(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-[[re, -im], [im, re]] of a (P, n, n) stack, minus the real matrix
+    acting on [x.re, x.im], written into out (2n, P, 2n) column by column:
+    out[c, p, r] is entry (r, c) of system p's."""
     n = a.shape[1]
-    out = np.empty((len(a), 2 * n, 2 * n))
-    out[:, :n, :n] = out[:, n:, n:] = -a.real
-    out[:, :n, n:] = a.imag
-    out[:, n:, :n] = -a.imag
+    at = a.transpose(2, 0, 1)
+    np.negative(at.real, out[:n, :, :n])
+    out[n:, :, n:] = out[:n, :, :n]
+    out[n:, :, :n] = at.imag
+    np.negative(at.imag, out[:n, :, n:])
     return out
+
+
+def _real_form_split(a: np.ndarray):
+    """-A in real form and its Dekker split, in this thread's workspace."""
+    shape = (2 * a.shape[2], len(a), 2 * a.shape[1])
+    neg = _neg_real_form(a, scratch("neg", shape))
+    return (neg, *_split(neg, scratch("neg_hi", shape),
+                         scratch("neg_lo", shape)))
 
 
 def _residual(split, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """b - A x of each system, as if computed in twice the working
     precision and then rounded.
 
-    split is -A in real form with its Dekker split.  TwoProd turns each
+    split is -A in real form, column by column (_neg_real_form), with its
+    Dekker split; the real form is overwritten.  TwoProd turns each
     product into an exact pair; a TwoSum tree of fixed shape adds a row's
-    products, their errors are summed beside it, and b comes last.
+    products, their errors are summed beside it, and b comes last.  The
+    tree's levels are this thread's workspace; with columns first, each
+    level works on whole contiguous columns.
     """
     neg, nh, nl = split
-    n = b.shape[1]
-    xr = np.concatenate([x.real, x.imag], axis=1)[:, None, :]
-    xh, xl = _split(xr)
-    terms = neg * xr
-    errs = nh * xh
+    p, n = b.shape
+    xr = np.empty((2 * n, p, 1))
+    xr[:n, :, 0] = x.real.T
+    xr[n:, :, 0] = x.imag.T
+    xh, xl = _split(xr, np.empty(xr.shape), np.empty(xr.shape))
+    # the tree's levels alternate between two pairs of buffers; the
+    # products overwrite neg, and the first level's buffer is free until
+    # that level
+    here, there = ("res_terms", "res_errs"), ("res_s", "res_e")
+    terms = np.multiply(neg, xr, neg)
+    errs = np.multiply(nh, xh, scratch(here[1], neg.shape))
     errs -= terms
-    errs += nh * xl
-    errs += nl * xh
-    errs += nl * xl
-    while terms.shape[-1] > 1:
-        odd = terms.shape[-1] % 2
-        end = terms.shape[-1] - odd
-        s, e = _two_sum(terms[..., 0:end:2], terms[..., 1:end:2])
-        e += errs[..., 0:end:2]
-        e += errs[..., 1:end:2]
+    tmp = scratch(there[0], neg.shape)
+    for u, v in ((nh, xl), (nl, xh), (nl, xl)):
+        errs += np.multiply(u, v, tmp)
+    while len(terms) > 1:
+        half, odd = divmod(len(terms), 2)
+        end = len(terms) - odd
+        s = scratch(there[0], (half + odd, p, 2 * n))
+        e = scratch(there[1], s.shape)
+        _two_sum(terms[0:end:2], terms[1:end:2], s[:half], e[:half])
+        e[:half] += errs[0:end:2]
+        e[:half] += errs[1:end:2]
         if odd:  # the last column waits for the next level
-            s = np.concatenate([s, terms[..., -1:]], axis=-1)
-            e = np.concatenate([e, errs[..., -1:]], axis=-1)
+            s[half] = terms[-1]
+            e[half] = errs[-1]
         terms, errs = s, e
-    br = np.concatenate([b.real, b.imag], axis=1)
-    s, e = _two_sum(br, terms[..., 0])
-    r = s + (errs[..., 0] + e)
+        here, there = there, here
+    br = np.empty((p, 2 * n))
+    br[:, :n] = b.real
+    br[:, n:] = b.imag
+    s, e = np.empty(br.shape), np.empty(br.shape)
+    _two_sum(br, terms[0], s, e)
+    np.add(errs[0], e, e)
+    s += e
     out = np.empty(b.shape, complex)
-    out.real = r[:, :n]
-    out.imag = r[:, n:]
+    out.real = s[:, :n]
+    out.imag = s[:, n:]
     return out
 
 
@@ -508,15 +597,19 @@ def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
         # the scaled system solves for x with z = diag(2**-col) x; the
         # stopping rule weighs corrections on z's own scale
         col_scale = np.ldexp(1.0, -col)
-        neg = _neg_real_form(a)
-        split = (neg, *_split(neg))
-        for _ in range(MAX_CORRECTIONS):
+        for k in range(MAX_CORRECTIONS):
             if keep is not None:
-                idx, a, b, x, col_scale = (v[keep] for v in
-                                           (idx, a, b, x, col_scale))
-                split = tuple(v[keep] for v in split)
+                sel = keep.nonzero()[0]
+                idx, b, x, col_scale = (v[sel] for v in
+                                        (idx, b, x, col_scale))
                 if not idx.size:
                     break
+                # the kept systems go to the other of two buffers: a
+                # gather cannot write over its own source, and only with
+                # mode "clip" does take write straight into out
+                a = np.take(a, sel, axis=0, mode="clip", out=scratch(
+                    f"subset{k % 2}", (len(sel),) + a.shape[1:], complex))
+            split = _real_form_split(a)
             dx, _ = _lapack_solve(a, _residual(split, b, x))
             x = x + dx
             zs = rmul(x, col_scale)

@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     profile_eval)
 from .numerics import (GAP_REASONS, OVERFLOW, Jet, cmul, jet_div, jet_mul,
-                       jet_sqrt_even, polar, rmul, series_exp,
+                       jet_sqrt_even, polar, rmul, scratch, series_exp,
                        series_mul, toeplitz)
 
 # relative tolerance deciding whether S(lambda) counts as zero: the critical
@@ -368,7 +368,8 @@ def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
     # has none), so dividing by eps drops them
     keep = slice(1, jet_order + 2)
     bracket1 = (eA - emA)[keep]
-    c_eA, c_emA = series_mul(c_rows, e)
+    c_eA, c_emA = series_mul(c_rows, e,
+                             scratch("rogue_series", e.shape, complex))
     bracket2 = (c_eA - c_emA)[keep]
     th1, _ = seed.theta(x, y, t)
     phase = polar(1.0, 0.5 * th1)

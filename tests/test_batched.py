@@ -297,10 +297,10 @@ def test_ill_conditioned_system_is_solved_exactly_inside_a_stack():
 def test_split_halves_multiply_exactly():
     rng = np.random.default_rng(11)
     v = rng.standard_normal(200) * 10.0 ** rng.integers(-30, 30, size=200)
-    hi, lo = _split(v)
+    hi, lo = _split(v, np.empty_like(v), np.empty_like(v))
     assert np.array_equal(hi + lo, v)
     for h, lo_, w in zip(hi, lo, v[::-1]):
-        wh, wl = _split(np.array([w]))
+        wh, wl = _split(np.array([w]), np.empty(1), np.empty(1))
         for x, y in ((h, wh[0]), (h, wl[0]), (lo_, wh[0]), (lo_, wl[0])):
             assert Fraction(float(x * y)) \
                 == Fraction(float(x)) * Fraction(float(y))
@@ -316,8 +316,9 @@ def test_residual_is_twice_working_precision_then_rounded():
     a = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
     b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     x = np.linalg.solve(a, b[..., None])[..., 0]
-    neg = _neg_real_form(a)
-    r = _residual((neg, *_split(neg)), b, x)
+    neg = _neg_real_form(a, np.empty((2 * n, 5, 2 * n)))
+    r = _residual((neg, *_split(neg, np.empty_like(neg),
+                                np.empty_like(neg))), b, x)
     F = Fraction
     for p in range(5):
         for i in range(n):
