@@ -33,8 +33,8 @@ from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, _number, background_field, grid_from_json,
                     profile_from_json, seed_from_json)
 from .numerics import (GAP_REASONS, NON_FINITE, OVERFLOW, Jet, SquareMatrix,
-                       jet_div, jet_mul, scratch, series_mul, solve_stack,
-                       toeplitz)
+                       _frozen, jet_div, jet_mul, scratch, series_mul,
+                       solve_stack, toeplitz)
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
                        ZeroSeedChart, _one_point, _one_triple, breather_jets,
                        critical_lambda, rogue_jets, zero_seed_jets)
@@ -103,8 +103,7 @@ def _power_jets(lam: complex, order: int, power: int, n_folds: int):
     pows[-1] = inv
     for m in range(-2, -n_folds - 1, -1):
         pows[m] = jet_mul(pows[m + 1], inv)
-    out = np.array([pows[m].coeffs for m in range(-n_folds, n_folds + 1)])
-    out.flags.writeable = False
+    out = _frozen(*(pows[m] for m in range(-n_folds, n_folds + 1)))
     return out, toeplitz(out)
 
 

@@ -156,7 +156,13 @@ def load_binary_field(path: str):
         blob = fh.read()
     if blob[:4] != BINARY_MAGIC:
         raise ConfigError(f"{path} is not a field export (bad magic)")
+    if len(blob) < 12:
+        raise ConfigError(f"{path} has {len(blob)} bytes of a 12-byte header")
     nx, ny = struct.unpack_from("<II", blob, 4)
+    size = 12 + 64 * nx * ny
+    if len(blob) != size:
+        raise ConfigError(f"{path} has {len(blob)} bytes, where its "
+                          f"{nx}x{ny} header needs {size}")
     data = np.frombuffer(blob, dtype="<f8", offset=12).reshape(ny * nx, 8)
     return nx, ny, data
 

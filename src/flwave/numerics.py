@@ -326,6 +326,14 @@ def polar(r, th):
     return out[()]
 
 
+def _frozen(*jets) -> np.ndarray:
+    """Static jets, or plain numbers, stacked into one read-only array:
+    row i holds the coefficients of jets[i]."""
+    out = np.array([getattr(j, "coeffs", j) for j in jets])
+    out.flags.writeable = False
+    return out
+
+
 def toeplitz(s: np.ndarray) -> np.ndarray:
     """The Toeplitz rows of static jets s (..., K), read-only:
     t[..., n, j] = s[..., n - j] for j <= n, else 0."""
@@ -445,14 +453,15 @@ def _equilibrate(a: np.ndarray):
 
 def _lapack_solve(a: np.ndarray, b: np.ndarray):
     """x with a x = b for each system of the stack, and which systems met
-    a zero pivot (None when none did; their x is NaN).  A singular matrix
-    fails a stacked call as a whole, so that stack is then solved in
-    halves, and each half that fails in halves again, down to the one
-    system that fails alone: one singular system of P costs at most
-    2 log2(P) + 1 calls.  Each system's result is the same either way."""
+    a zero pivot (their x is NaN).  A singular matrix fails a stacked
+    call as a whole, so that stack is then solved in halves, and each
+    half that fails in halves again, down to the one system that fails
+    alone: one singular system of P costs at most 2 log2(P) + 1 calls.
+    Each system's result is the same either way."""
     try:
         # b as (P, n, 1): numpy 2 reads a (P, n) right-hand side otherwise
-        return np.linalg.solve(a, b[..., None])[..., 0], None
+        return (np.linalg.solve(a, b[..., None])[..., 0],
+                np.zeros(len(a), bool))
     except np.linalg.LinAlgError:
         pass
     x = np.full(b.shape, np.nan, complex)
@@ -460,9 +469,7 @@ def _lapack_solve(a: np.ndarray, b: np.ndarray):
     if len(a) > 1:
         half = len(a) // 2
         for part in (slice(0, half), slice(half, len(a))):
-            xp, sp = _lapack_solve(a[part], b[part])
-            x[part] = xp
-            singular[part] = False if sp is None else sp
+            x[part], singular[part] = _lapack_solve(a[part], b[part])
     return x, singular
 
 
@@ -500,27 +507,21 @@ def _neg_real_form(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_form_split(a: np.ndarray):
-    """-A in real form and its Dekker split, in this thread's workspace."""
-    shape = (2 * a.shape[2], len(a), 2 * a.shape[1])
-    neg = _neg_real_form(a, scratch("neg", shape))
-    return (neg, *_split(neg, scratch("neg_hi", shape),
-                         scratch("neg_lo", shape)))
-
-
-def _residual(split, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """b - A x of each system, as if computed in twice the working
     precision and then rounded.
 
-    split is -A in real form, column by column (_neg_real_form), with its
-    Dekker split; the real form is overwritten.  TwoProd turns each
+    -A in real form, column by column (_neg_real_form), and its Dekker
+    split are built in this thread's workspace.  TwoProd turns each
     product into an exact pair; a TwoSum tree of fixed shape adds a row's
     products, their errors are summed beside it, and b comes last.  The
-    tree's levels are this thread's workspace; with columns first, each
-    level works on whole contiguous columns.
+    tree's levels are this thread's workspace too; with columns first,
+    each level works on whole contiguous columns.
     """
-    neg, nh, nl = split
     p, n = b.shape
+    shape = (2 * n, p, 2 * n)
+    neg = _neg_real_form(a, scratch("neg", shape))
+    nh, nl = _split(neg, scratch("neg_hi", shape), scratch("neg_lo", shape))
     xr = np.empty((2 * n, p, 1))
     xr[:n, :, 0] = x.real.T
     xr[n:, :, 0] = x.imag.T
@@ -565,52 +566,48 @@ def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
     """z with a[p] z[p] = b[p] for each system of a (P, n, n) stack, and
     why each gap is one (an int8 code per system, 0 for a value).
 
-    Systems already marked in `why` are not solved.  The others are
-    equilibrated, solved by one stacked LAPACK call and refined against
-    the residual: every system takes one correction, and the ones whose
-    last correction is still above REFINE_TOL * max|z| take another, at
-    most MAX_CORRECTIONS in all.  A non-finite entry, a zero pivot, a
-    non-finite iterate and a system that does not converge are gaps, and
-    their z is NaN.
+    The stack is equilibrated; systems already marked in `why` and those
+    with a non-finite entry are dropped, and the others are solved by one
+    stacked LAPACK call and refined against the residual: every system
+    takes one correction, and the ones whose last correction is still
+    above REFINE_TOL * max|z| take another, at most MAX_CORRECTIONS in
+    all.  A non-finite entry, a zero pivot, a non-finite iterate and a
+    system that does not converge are gaps, and their z is NaN.
     """
     why = np.zeros(len(a), np.int8) if why is None else why.copy()
     z = np.full(b.shape, np.nan, complex)
     all_of, max_of = np.logical_and.reduce, np.maximum.reduce
     with np.errstate(all="ignore"):
-        idx = (why == 0).nonzero()[0]
-        if idx.size < len(a):
-            a, b = a[idx], b[idx]
         a, row, col, finite = _equilibrate(a)
         b = rmul(b, np.ldexp(1.0, -row))
         finite &= all_of(np.isfinite(b), axis=1)
-        x, singular = _lapack_solve(a, b) if all_of(finite) else (None, None)
-        if x is None:  # drop the non-finite systems, then solve
-            why[idx[~finite]] = NON_FINITE
-            idx, a, b, col = idx[finite], a[finite], b[finite], col[finite]
-            if not idx.size:
-                return z, why
-            x, singular = _lapack_solve(a, b)
-        keep = None
-        if singular is not None:
-            why[idx[singular]] = ZERO_PIVOT
-            keep = ~singular
+        why[~finite & (why == 0)] = NON_FINITE
+        idx = (why == 0).nonzero()[0]
+        if not idx.size:
+            return z, why
+        if idx.size < len(a):
+            a, b, col = a[idx], b[idx], col[idx]
+        x, singular = _lapack_solve(a, b)
+        why[idx[singular]] = ZERO_PIVOT
+        keep = ~singular
         # the scaled system solves for x with z = diag(2**-col) x; the
         # stopping rule weighs corrections on z's own scale
         col_scale = np.ldexp(1.0, -col)
-        for k in range(MAX_CORRECTIONS):
-            if keep is not None:
+        # the kept systems are gathered into whichever of two buffers a
+        # is not in: a gather cannot write over its own source, and only
+        # with mode "clip" does take write straight into out
+        spare, other = "subset0", "subset1"
+        for _ in range(MAX_CORRECTIONS):
+            if not all_of(keep):
                 sel = keep.nonzero()[0]
                 idx, b, x, col_scale = (v[sel] for v in
                                         (idx, b, x, col_scale))
                 if not idx.size:
                     break
-                # the kept systems go to the other of two buffers: a
-                # gather cannot write over its own source, and only with
-                # mode "clip" does take write straight into out
                 a = np.take(a, sel, axis=0, mode="clip", out=scratch(
-                    f"subset{k % 2}", (len(sel),) + a.shape[1:], complex))
-            split = _real_form_split(a)
-            dx, _ = _lapack_solve(a, _residual(split, b, x))
+                    spare, (len(sel),) + a.shape[1:], complex))
+                spare, other = other, spare
+            dx, _ = _lapack_solve(a, _residual(a, b, x))
             x = x + dx
             zs = rmul(x, col_scale)
             # a non-finite entry makes its row's maximum non-finite

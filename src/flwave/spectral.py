@@ -12,7 +12,8 @@ arrays and return the three components as complex arrays of shape
 (order + 1, P), the third being the second object itself where the two
 are equal by construction, plus where an exponential overflowed.  Only
 the exponents vary per point: the rest is a per-chart static jet,
-cached.  The `*_eigenfunction` builders are their one-point faces.
+cached, and the chart's checks against its seed run as it is built.
+The `*_eigenfunction` builders are their one-point faces.
 """
 from __future__ import annotations
 
@@ -25,9 +26,9 @@ import numpy as np
 from .errors import ConfigError, NumericError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     profile_eval)
-from .numerics import (GAP_REASONS, OVERFLOW, Jet, cmul, jet_div, jet_mul,
-                       jet_sqrt_even, polar, rmul, scratch, series_exp,
-                       series_mul, toeplitz)
+from .numerics import (GAP_REASONS, OVERFLOW, Jet, _frozen, cmul, jet_div,
+                       jet_mul, jet_sqrt_even, polar, rmul, scratch,
+                       series_exp, series_mul, toeplitz)
 
 # relative tolerance deciding whether S(lambda) counts as zero: the critical
 # lambda is only float-accurate, so S lands near 1e-16 * scale, never at 0
@@ -115,9 +116,6 @@ class EigenTriple:
     phi2: Jet
     phi3: Jet
 
-    def values(self) -> tuple[complex, complex, complex]:
-        return (self.phi1.coeffs[0], self.phi2.coeffs[0], self.phi3.coeffs[0])
-
 
 # ---------------------------------------------------------------------------
 # spectral helper quantities
@@ -172,16 +170,6 @@ def rogue_R(lam, seed: PlaneWaveSeed):
 # ---------------------------------------------------------------------------
 # shared pieces of the array builders
 # ---------------------------------------------------------------------------
-
-
-def _frozen(*jets) -> tuple:
-    """Static jets as read-only coefficient arrays."""
-    out = []
-    for jet in jets:
-        a = np.array(jet.coeffs)
-        a.flags.writeable = False
-        out.append(a)
-    return tuple(out)
 
 
 def _exponent(cx, cy, ch, x, y, f) -> np.ndarray:
@@ -248,6 +236,12 @@ def zero_seed_eigenfunction(chart: ZeroSeedChart, profile: DeformationProfile,
 
 @lru_cache(maxsize=None)
 def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed, order: int):
+    if not seed.symmetric:
+        raise ConfigError(
+            "breather eigenfunctions need a1 == a2 and d1 == d2")
+    if is_critical(chart.lam, seed):
+        raise ConfigError(
+            f"S({chart.lam!r}) = 0: use a rogue chart for this lambda")
     a1, d1 = seed.a1, seed.d1
     lam = Jet.variable(chart.lam, order)
     lam2 = jet_mul(lam, lam)
@@ -269,27 +263,15 @@ def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed, order: int):
     cy2 = 1j * beta2 - h_over
     cx3 = 0.5j * a1 - 0.5 * H
     cy3 = 1j * beta3 + h_over
-    # the three exponents stacked, each cx*x + cy*y + ch*f(y+t), and the
-    # weights of the three exponentials
-    cx, cy = (np.stack(c) for c in (_frozen(cx1, cx2, cx3),
-                                   _frozen(cy1, cy2, cy3)))
-    ch = np.array([1j * chart.h1, -1j * chart.h2, -1j * chart.h1])
-    weights = np.array([chart.l1, chart.l2, chart.l3])[:, None, None]
-    return (toeplitz(np.stack(_frozen(w12, w13))), cx, cy, ch, weights)
-
-
-def _check_breather(chart: BreatherChart, seed: PlaneWaveSeed):
-    if not seed.symmetric:
-        raise ConfigError(
-            "breather eigenfunctions need a1 == a2 and d1 == d2")
-    if is_critical(chart.lam, seed):
-        raise ConfigError(
-            f"S({chart.lam!r}) = 0: use a rogue chart for this lambda")
+    # the W rows, the three exponents' cx, cy and ch, and their weights
+    return (toeplitz(_frozen(w12, w13)), _frozen(cx1, cx2, cx3),
+            _frozen(cy1, cy2, cy3),
+            _frozen(1j * chart.h1, -1j * chart.h2, -1j * chart.h1),
+            _frozen(chart.l1, chart.l2, chart.l3)[:, None, None])
 
 
 def breather_jets(chart: BreatherChart, seed: PlaneWaveSeed,
                   profile: DeformationProfile, x, y, t, jet_order: int):
-    _check_breather(chart, seed)
     w_rows, cx, cy, ch, weights = _breather_static(chart, seed, jet_order)
     f = profile_eval(profile, y + t)
     e, over = series_exp(_exponent(cx, cy, ch, x, y, f))
@@ -321,7 +303,22 @@ def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
 
 
 @lru_cache(maxsize=None)
-def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, internal_order: int):
+def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, jet_order: int):
+    if not seed.symmetric or seed.b1 != seed.b2:
+        raise ConfigError(
+            "rogue eigenfunctions need a1 == a2, d1 == d2 and b1 == b2")
+    if not is_critical(chart.lam, seed):
+        S0 = discriminant_S(chart.lam, seed.a1, seed.d1)
+        raise ConfigError(
+            f"S({chart.lam!r}) = {S0!r} is not zero; rogue charts need the "
+            "critical lambda")
+    if jet_order < 2 * chart.multiplicity:
+        raise ConfigError(
+            f"rogue chart of multiplicity {chart.multiplicity} needs jet "
+            f"order >= {2 * chart.multiplicity}, got {jet_order}")
+    # two extra orders: the eps^-1 prefactor shifts every series down by
+    # one, and the eps^2 perturbation itself needs headroom at order 0
+    internal_order = jet_order + 2
     a1, d1 = seed.a1, seed.d1
     lam = Jet.variable(chart.lam, internal_order, power=2)
     lam2 = jet_mul(lam, lam)
@@ -338,27 +335,12 @@ def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, internal_order: int):
     k_xy = half
     k_t = jet_mul(half, R)
     k_shift = jet_mul(half, delta_jet)
-    return _frozen(k_xy, k_t, k_shift) + (
-        toeplitz(np.stack(_frozen(c_minus, c_plus))),)
+    return (*_frozen(k_xy, k_t, k_shift), toeplitz(_frozen(c_minus, c_plus)))
 
 
 def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
                jet_order: int):
-    if not seed.symmetric or seed.b1 != seed.b2:
-        raise ConfigError(
-            "rogue eigenfunctions need a1 == a2, d1 == d2 and b1 == b2")
-    if not is_critical(chart.lam, seed):
-        S0 = discriminant_S(chart.lam, seed.a1, seed.d1)
-        raise ConfigError(
-            f"S({chart.lam!r}) = {S0!r} is not zero; rogue charts need the "
-            "critical lambda")
-    if jet_order < 2 * chart.multiplicity:
-        raise ConfigError(
-            f"rogue chart of multiplicity {chart.multiplicity} needs jet "
-            f"order >= {2 * chart.multiplicity}, got {jet_order}")
-    # two extra orders: the eps^-1 prefactor shifts every series down by
-    # one, and the eps^2 perturbation itself needs headroom at order 0
-    k_xy, k_t, k_shift, c_rows = _rogue_static(chart, seed, jet_order + 2)
+    k_xy, k_t, k_shift, c_rows = _rogue_static(chart, seed, jet_order)
     w = np.empty(len(x), complex)
     w.real, w.imag = x, y
     A = (cmul(k_xy[:, None], w) + rmul(k_t[:, None], t)) + k_shift[:, None]

@@ -54,7 +54,8 @@ def _sample_many(sampler, points):
     engine's sampler takes all the points in one call; any other sampler
     is called once per point."""
     if isinstance(sampler, FieldSampler):
-        s = sampler(np.array(points, float))
+        # (P, 3) even for no points: the sampler reads a 1-D array as one point
+        s = sampler(np.array(points, float).reshape(-1, 3))
         return s.q1, s.q2
     q = np.full((2, len(points)), complex("nan"))
     for k, point in enumerate(points):

@@ -19,8 +19,7 @@ from flwave import (DeformationProfile, DtConfig, FieldSample, GridSpec,
 from flwave.cli import SCENARIOS
 from flwave.dt_engine import chunk_points, evaluate_points
 from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, OVERFLOW, ZERO_PIVOT,
-                             Jet, _equilibrate, _lapack_solve, _neg_real_form,
-                             _residual,
+                             Jet, _equilibrate, _lapack_solve, _residual,
                              _split, jet_mul, series_mul, solve_stack,
                              toeplitz)
 from flwave.verify import _sample_many
@@ -316,9 +315,7 @@ def test_residual_is_twice_working_precision_then_rounded():
     a = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
     b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     x = np.linalg.solve(a, b[..., None])[..., 0]
-    neg = _neg_real_form(a, np.empty((2 * n, 5, 2 * n)))
-    r = _residual((neg, *_split(neg, np.empty_like(neg),
-                                np.empty_like(neg))), b, x)
+    r = _residual(a, b, x)
     F = Fraction
     for p in range(5):
         for i in range(n):
@@ -385,6 +382,11 @@ def test_pde_residual_and_peak_search_batch_their_samples(monkeypatch):
     # the scan; the first step's neighbours are scan nodes; then one call
     # per two steps, the last step fetching only its own neighbours
     assert calls == [25, 12, 12, 4]
+
+
+def test_pde_residual_of_no_points_is_empty():
+    sampler = solution_sampler(SEED_R, ROGUE, LIN)
+    assert pde_residual(sampler, np.empty((0, 3))) == []
 
 
 # -- a many-point pde_residual gives each point's one-point report -----------

@@ -132,6 +132,9 @@ def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
     # the panel's "critical" lambda has no root of S to resolve to here
     (["rogue", "--seed", "zero"], "require a plane-wave background"),
     (["hybrid", "--seed", "zero"], "require a plane-wave background"),
+    # checked as the chart's cached jets are built
+    (["breather", "--seed", "-1,-1,-1,-2,1,2"], "a1 == a2 and d1 == d2"),
+    (["rogue", "--seed", "-0.5,-0.5,-1,-2,1,1"], "b1 == b2"),
 ])
 def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
         tmp_path, capsys, argv, field):
@@ -422,7 +425,7 @@ def _grid_verify(s):
     return 0 if ok else 3
 
 
-@pytest.mark.parametrize("name", ["fig3a", "fig1e", "fig6a"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_verify_prints_what_the_grid_loop_prints(capsys, name):
     rc = cli.verify_scenario(SCENARIOS[name])
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Grid evaluation, CSV/binary export, and PNG rendering."""
 
 import concurrent.futures
+import re
 import struct
 import zlib
 
@@ -163,6 +164,20 @@ def test_binary_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ConfigError):
         load_binary_field(str(path))
+
+
+@pytest.mark.parametrize("keep,sizes", [
+    (8, "8 bytes of a 12-byte header"),
+    (12 + 40 * 8, "332 bytes, where its 3x3 header needs 588"),
+])
+def test_truncated_binary_names_the_path_and_both_sizes(tmp_path, keep,
+                                                        sizes):
+    path = tmp_path / "cut.f64"
+    export_field(rw1_grid(nx=3, ny=3), str(path), format="f64bin")
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ConfigError, match=re.escape(str(path))) as info:
+        load_binary_field(str(path))
+    assert sizes in str(info.value)
 
 
 # -- PNG rendering -----------------------------------------------------------

@@ -23,7 +23,10 @@ from flwave import (
     breather_eigenfunction,
     zero_seed_eigenfunction,
 )
+from flwave.cli import SCENARIOS
+from flwave.dt_engine import _jet_power, _power_jets
 from flwave.numerics import jet_mul, jet_sqrt_even
+from flwave.spectral import _breather_static, _rogue_static, _zero_seed_static
 
 SEED_B = PlaneWaveSeed(-1, -1, -1, -2, 1, 1)
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
@@ -212,9 +215,11 @@ def test_breather_requires_symmetric_seed():
 
 def test_breather_rejects_degenerate_lambda():
     chart = BreatherChart(LAM_CRIT, 0, 1, 1, 0j, 0j)
-    with pytest.raises(ConfigError, match="use a rogue chart"):
-        breather_eigenfunction(chart, SEED_R, DeformationProfile.LINEAR,
-                               (0, 0, 0), 0)
+    # twice: the check runs in a cached static, which caches no exception
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="use a rogue chart"):
+            breather_eigenfunction(chart, SEED_R, DeformationProfile.LINEAR,
+                                   (0, 0, 0), 0)
 
 
 def test_breather_components_two_three_differ_with_l1():
@@ -298,3 +303,24 @@ def test_rogue_components_two_three_equal():
     chart = RogueChart(LAM_CRIT)
     trip = rogue_eigenfunction_jet(chart, SEED_R, (1.1, 0.6, -0.4), 2)
     assert trip.phi2 == trip.phi3
+
+
+# -- per-chart statics -------------------------------------------------------
+
+
+def test_cached_statics_are_read_only():
+    # every chunk of every later call shares them
+    arrays = []
+    for s in SCENARIOS.values():
+        for chart in s.charts.charts:
+            order = _jet_power(chart) * chart.multiplicity
+            arrays.extend(_power_jets(chart.lam, order, _jet_power(chart),
+                                     s.charts.folds))
+            if isinstance(chart, ZeroSeedChart):
+                arrays.extend(_zero_seed_static(chart, order))
+            elif isinstance(chart, BreatherChart):
+                arrays.extend(_breather_static(chart, s.background, order))
+            else:
+                arrays.extend(_rogue_static(chart, s.background, order))
+    assert arrays
+    assert not [a for a in arrays if a.flags.writeable]
