@@ -2,8 +2,8 @@
 Fokas-Lenells system via determinant-form Darboux transformations, with
 built-in residual verification and figure-style rendering."""
 
-from .dt_engine import (DtConfig, FieldSample, assemble_system,
-                        evaluate_solution, solution_sampler)
+from .dt_engine import (DtConfig, FieldSample, evaluate_solution,
+                        solution_sampler)
 from .errors import (ConfigError, FlwaveError, NumericError,
                      SingularPointError)
 from .grid_render import (FieldGrid, evaluate_grid, export_field,
@@ -11,7 +11,7 @@ from .grid_render import (FieldGrid, evaluate_grid, export_field,
 from .model import (DeformationProfile, GridSpec, PlaneWaveSeed,
                     SeedBackground, ZeroBackground, background_field,
                     dispersion_relation, plane_wave_field, profile_eval)
-from .numerics import Jet, SquareMatrix, det, solve
+from .numerics import Jet, SquareMatrix, det
 from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
                        ZeroSeedChart, breather_eigenfunction, critical_lambda,
                        discriminant_S, is_critical, rogue_R,

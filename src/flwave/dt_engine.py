@@ -16,9 +16,9 @@ arrays with one column per point, Omega_1 is a (P, 3N, 3N) stack, and
 one stacked solve refines them all.  A chunk holds CHUNK_ENTRIES entries
 of Omega_1 but at least 64 points: 576, 144, 64 and 64 points for
 N = 1..4.  A point's value does not depend on the chunk it is in.
-evaluate_solution, assemble_system, build_triple and the sampler's
-one-point call are the one-point faces of the same code.  spec_from_json
-reads a whole run (seed, profile, grid and charts) from its JSON form.
+evaluate_solution and the sampler's one-point call are the one-point
+faces of the same code.  spec_from_json reads a whole run (seed,
+profile, grid and charts) from its JSON form.
 """
 from __future__ import annotations
 
@@ -32,12 +32,12 @@ from .errors import ConfigError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, _number, background_field, grid_from_json,
                     profile_from_json, seed_from_json)
-from .numerics import (GAP_REASONS, NON_FINITE, OVERFLOW, Jet, SquareMatrix,
-                       _frozen, jet_div, jet_mul, scratch, series_mul,
-                       solve_stack, toeplitz)
-from .spectral import (BreatherChart, EigenTriple, RogueChart, SpectralChart,
-                       ZeroSeedChart, _one_point, _one_triple, breather_jets,
-                       critical_lambda, rogue_jets, zero_seed_jets)
+from .numerics import (GAP_REASONS, NON_FINITE, OVERFLOW, Jet, _frozen,
+                       jet_div, jet_mul, scratch, series_mul, solve_stack,
+                       toeplitz)
+from .spectral import (BreatherChart, RogueChart, SpectralChart,
+                       ZeroSeedChart, breather_jets, critical_lambda,
+                       rogue_jets, zero_seed_jets)
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
@@ -113,10 +113,24 @@ def _layout(config: DtConfig, paired: tuple):
     tables: a row of the stacked sources, whether to conjugate it, and
     whether to negate it.
 
+    Column ladder: phi1 columns at lambda exponents N, N-2, ..., -(N-2)
+    and (phi2, phi3) pairs at N-1, N-3, ..., -(N-1), interleaved in
+    descending order.  The replacement vector r has, on every row, -mu^-N
+    times the row's first component, mu being that row's eigenvalue.
+
     Each chart stacks three blocks of (2N+1) x (order+1) rows:
     lambda^m * phi1, lambda^m * phi2, and lambda^m * phi3, or lambda^m
     itself where the chart's phi3 is its phi2.  One zero row ends the
     stack.
+
+    paired[i] says whether chart i's phi3 is its phi2 (the same jet:
+    zero-seed and rogue charts, and breathers with l1 = 0 whose two
+    phases agree).  Its second companion rows are then replaced by
+    (comp3 - comp2) / phi1*, which collapses to pure conjugated lambda
+    powers.  That row combination rescales every determinant by the same
+    triangular factor (and r with Omega_1), so both ratios are unchanged,
+    while the spurious rank drop at nodes of phi1 (the center of a rogue
+    wave, where the faithful rows make 0/0) disappears.
     """
     n = config.folds
     dim = 3 * n
@@ -192,47 +206,6 @@ def _assemble(config: DtConfig, phis):
     np.conjugate(g, out=g, where=conj)
     np.negative(g, out=g, where=neg)
     return g[..., :-1], g[..., -1]
-
-
-def assemble_system(config: DtConfig, triples):
-    """Build (Omega_1, r) from per-chart eigenfunction jets: the one-point
-    face of the batched assembly.
-
-    Column ladder: phi1 columns at lambda exponents N, N-2, ..., -(N-2) and
-    (phi2, phi3) pairs at N-1, N-3, ..., -(N-1), interleaved in descending
-    order.  The replacement vector r has, on every row, -mu^-N times the
-    row's first component, mu being that row's eigenvalue.
-
-    When a chart's phi3 is its phi2 (the same jet: zero-seed and rogue
-    charts, and breathers with l1 = 0 whose two phases agree), its second
-    companion rows are replaced by (comp3 - comp2) / phi1*, which
-    collapses to pure conjugated lambda powers.  That row combination
-    rescales every determinant by the same triangular factor (and r with
-    Omega_1), so both ratios are unchanged, while the spurious rank drop
-    at nodes of phi1 (the center of a rogue wave, where the faithful rows
-    make 0/0) disappears.
-    """
-    charts = config.charts
-    if len(triples) != len(charts):
-        raise ConfigError(
-            f"{len(charts)} charts but {len(triples)} eigenfunction triples")
-    phis = []
-    for chart, triple in zip(charts, triples):
-        need = _jet_power(chart) * chart.multiplicity
-        order = triple.phi1.order
-        if triple.phi2.order != order or triple.phi3.order != order:
-            raise ConfigError("eigenfunction components have mixed jet orders")
-        if order < need:
-            raise ConfigError(
-                f"chart at lambda={chart.lam!r} needs jet order >= {need}, "
-                f"got {order}")
-        # coefficient c of a product needs only coefficients up to c
-        phi1, phi2, phi3 = (np.array(jet.coeffs[:need + 1])[:, None]
-                            for jet in (triple.phi1, triple.phi2, triple.phi3))
-        phis.append((phi1, phi2,
-                     phi2 if triple.phi3 is triple.phi2 else phi3))
-    omega1, r = _assemble(config, phis)
-    return SquareMatrix(omega1[0].tolist()), r[0].tolist()
 
 
 def check_compat(background: SeedBackground, config: DtConfig):
@@ -336,13 +309,6 @@ def eigen_jets(chart: SpectralChart, background: SeedBackground,
     if isinstance(chart, BreatherChart):
         return breather_jets(chart, background, profile, x, y, t, order)
     return rogue_jets(chart, background, x, y, t, order)
-
-
-def build_triple(chart: SpectralChart, background: SeedBackground,
-                 profile: DeformationProfile, point) -> EigenTriple:
-    """eigen_jets at one point, as Jets."""
-    return _one_triple(*eigen_jets(chart, background, profile,
-                                   *_one_point(point)), point)
 
 
 def chunk_points(config: DtConfig) -> int:

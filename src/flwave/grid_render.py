@@ -172,19 +172,12 @@ def load_binary_field(path: str):
 # ---------------------------------------------------------------------------
 
 
-def render_heatmap(grid: FieldGrid, path: str, channel: str = "abs_q1",
-                   value_range: tuple[float, float] | None = None) -> None:
-    """8-bit RGB PNG of |q1| or |q2|; top image row is y_max, masked black."""
-    if channel == "abs_q1":
-        data = grid.abs_q1
-    elif channel == "abs_q2":
-        data = grid.abs_q2
-    else:
-        raise ConfigError(f"unknown channel {channel!r}")
+def render_heatmap(grid: FieldGrid, path: str) -> None:
+    """8-bit RGB PNG of |q1|, scaled from its least to its greatest
+    unmasked value; top image row is y_max, masked black."""
+    data = grid.abs_q1
     valid = ~grid.mask
-    if value_range is not None:
-        vmin, vmax = float(value_range[0]), float(value_range[1])
-    elif valid.any():
+    if valid.any():
         vmin = float(data[valid].min())
         vmax = float(data[valid].max())
     else:

@@ -24,6 +24,9 @@ def dispersion_relation(a1: float, a2: float, b1: float, b2: float,
         raise ConfigError("a1 must be nonzero (dispersion relation divides by it)")
     if a2 == 0:
         raise ConfigError("a2 must be nonzero (dispersion relation divides by it)")
+    for name, d in (("d1", d1), ("d2", d2)):
+        if math.isinf(d * d):  # d ** 2 below would raise OverflowError
+            raise ConfigError(f"seed {name} = {d!r}: its square overflows")
     c1 = (2 * a1 * d1 ** 2 + a1 * d2 ** 2 + a2 * d2 ** 2
           + 2 * a1 * b1 + 4 * a1 + 2) / (2 * a1)
     c2 = (a1 * d1 ** 2 + a2 * d1 ** 2 + 2 * a2 * d2 ** 2
@@ -135,10 +138,11 @@ class GridSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"grid {name} must be finite, "
                                   f"got {getattr(self, name)!r}")
-        if not self.x_min < self.x_max:
-            raise ConfigError("grid needs x_min < x_max")
-        if not self.y_min < self.y_max:
-            raise ConfigError("grid needs y_min < y_max")
+        for axis in ("x", "y"):
+            lo, hi = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ConfigError(f"grid needs {axis}_min < {axis}_max and a "
+                                  f"finite span {axis}_max - {axis}_min")
         for name in ("nx", "ny"):
             n = getattr(self, name)
             if not (n >= 2 and math.isfinite(n) and n == int(n)):

@@ -27,7 +27,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigError, SingularPointError
+from .errors import ConfigError
 
 # relative floor under which low-index coefficients are treated as exact zeros
 # when locating the leading term of a series
@@ -150,19 +150,6 @@ class Jet:
             return o
         return jet_div(o, self)
 
-    def conjugate(self) -> "Jet":
-        """Coefficientwise conjugate; equals the jet at the conjugate center
-        because the perturbation variable is real."""
-        return Jet(tuple(a.conjugate() for a in self.coeffs))
-
-    # -- series utilities ---------------------------------------------------
-
-    def truncated(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ConfigError(
-                f"cannot extend a jet of order {self.order} to {order}")
-        return Jet(self.coeffs[: order + 1])
-
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the shared order."""
@@ -194,16 +181,6 @@ def jet_div(a: Jet, b: Jet) -> Jet:
             s -= q[j] * b.coeffs[k - j]
         q[k] = s / b0
     return Jet(q)
-
-
-def jet_exp(a: Jet) -> Jet:
-    """exp of a jet: the one-point face of series_exp."""
-    a0 = a.coeffs[0]
-    if a0.real > EXP_ARG_LIMIT:
-        raise SingularPointError(
-            f"exp argument real part {a0.real:.6g} overflows")
-    e, _ = series_exp(np.array(a.coeffs)[:, None])
-    return Jet(e[:, 0])
 
 
 def jet_sqrt_even(a: Jet) -> Jet:
@@ -624,16 +601,6 @@ def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
         else:
             why[idx[keep]] = NO_CONVERGENCE
     return z, why
-
-
-def solve(m: SquareMatrix, rhs) -> list:
-    """z with m z = rhs: the one-system face of solve_stack.  Raises
-    SingularPointError where that marks a gap."""
-    z, why = solve_stack(np.array([m.rows], complex),
-                         np.array([rhs], complex))
-    if why[0]:
-        raise SingularPointError(GAP_REASONS[why[0]])
-    return [complex(v) for v in z[0]]
 
 
 def det(m: SquareMatrix) -> complex:

@@ -102,8 +102,8 @@ def _check_chart_common(lam: complex, multiplicity: int, **values):
     for name, v in (("lambda", lam), *values.items()):
         if not cmath.isfinite(v):
             raise ConfigError(f"chart {name} must be finite, got {v!r}")
-    if lam == 0:
-        raise ConfigError("spectral parameter lambda must be nonzero")
+    if lam * lam == 0:  # lambda = 0, or a square the builders divide by
+        raise ConfigError(f"chart lambda = {lam!r}: its square is 0")
     if multiplicity < 0:
         raise ConfigError("chart multiplicity must be >= 0")
 
@@ -128,30 +128,32 @@ def discriminant_S(lam, a1: float, d1: float):
     return -4 * lam2 * lam2 + (-8 * a1 * a1 * d1 * d1 - 4 * a1) * lam2 - a1 * a1
 
 
-def _S_scale(lam: complex, a1: float, d1: float) -> float:
-    m = abs(lam) ** 2
-    return 4 * m * m + abs(8 * a1 * a1 * d1 * d1 + 4 * a1) * m + a1 * a1
-
-
 def is_critical(lam: complex, seed: SeedBackground) -> bool:
-    """Whether S(lambda) counts as zero on this seed (never on zero seeds)."""
+    """Whether S(lambda) counts as zero on this seed (never on zero seeds).
+    Where S or its scale overflows, neither holds: ConfigError."""
     if not isinstance(seed, PlaneWaveSeed):
         return False
-    S0 = discriminant_S(lam, seed.a1, seed.d1)
-    return abs(S0) <= DEGENERATE_S_RTOL * _S_scale(lam, seed.a1, seed.d1)
+    a1, d1 = seed.a1, seed.d1
+    try:
+        size, m = abs(discriminant_S(lam, a1, d1)), abs(lam) ** 2
+    except OverflowError:
+        size = m = cmath.inf
+    scale = 4 * m * m + abs(8 * a1 * a1 * d1 * d1 + 4 * a1) * m + a1 * a1
+    if not cmath.isfinite(size + scale):
+        raise ConfigError(f"S overflows at chart lambda = {lam!r} on its seed")
+    return size <= DEGENERATE_S_RTOL * scale
 
 
-def critical_lambda(a1: float, d1: float,
-                    branch: tuple[int, int] = (1, -1)) -> complex:
-    """Root of S from the printed nested radical; branch = (outer, inner) signs."""
+def critical_lambda(a1: float, d1: float) -> complex:
+    """Root of S from the printed nested radical, outer sign +, inner -."""
     if a1 == 0:
         raise ConfigError("a1 must be nonzero for the critical lambda")
-    s_out, s_in = branch
-    if s_out not in (1, -1) or s_in not in (1, -1):
-        raise ConfigError("branch must be a pair of +1/-1 signs")
-    inner = cmath.sqrt(a1 * a1 * d1 ** 4 + d1 * d1 * a1)
-    radicand = -4 * a1 * a1 * d1 * d1 + s_in * 4 * a1 * inner - 2 * a1
-    return s_out * 0.5 * cmath.sqrt(radicand)
+    try:
+        inner = cmath.sqrt(a1 * a1 * d1 ** 4 + d1 * d1 * a1)
+    except OverflowError:  # d1 ** 4
+        raise ConfigError(f"seed d1 = {d1!r}: d1^4 overflows") from None
+    radicand = -4 * a1 * a1 * d1 * d1 - 4 * a1 * inner - 2 * a1
+    return 0.5 * cmath.sqrt(radicand)
 
 
 def rogue_R(lam, seed: PlaneWaveSeed):
@@ -191,14 +193,10 @@ def _one_point(point) -> tuple:
 
 
 def _one_triple(phis, over, point) -> EigenTriple:
-    """The EigenTriple of a one-point build; a shared component stays one
-    Jet object."""
+    """The EigenTriple of a one-point build."""
     if over[0]:
         raise SingularPointError(f"{GAP_REASONS[OVERFLOW]} at point {point!r}")
-    phi1, phi2, phi3 = phis
-    j2 = Jet(phi2[:, 0])
-    return EigenTriple(Jet(phi1[:, 0]), j2,
-                       j2 if phi3 is phi2 else Jet(phi3[:, 0]))
+    return EigenTriple(*(Jet(phi[:, 0]) for phi in phis))
 
 
 # ---------------------------------------------------------------------------

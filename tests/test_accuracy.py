@@ -11,7 +11,7 @@ import pytest
 
 from flwave import GridSpec, dt_engine, pde_residual, solution_sampler
 from flwave.cli import SCENARIOS
-from flwave.dt_engine import assemble_system, build_triple
+from flwave.spectral import _one_point
 
 ORACLE_DIGITS = 50
 RATIO_RTOL = 1e-12
@@ -30,24 +30,26 @@ RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 
 def _system(s, point):
-    triples = [build_triple(c, s.background, s.profile, point)
-               for c in s.charts.charts]
-    return assemble_system(s.charts, triples)
+    """Omega_1 and r at one point, as the engine assembles them."""
+    phis = [dt_engine.eigen_jets(c, s.background, s.profile,
+                                 *_one_point(point))[0]
+            for c in s.charts.charts]
+    omega1, r = dt_engine._assemble(s.charts, phis)
+    return omega1[0], r[0]
 
 
 def _oracle_ratios(omega1, r):
     with mpmath.workdps(ORACLE_DIGITS):
-        a = mpmath.matrix([[mpmath.mpc(c) for c in row]
-                           for row in omega1.rows])
+        a = mpmath.matrix([[mpmath.mpc(c) for c in row] for row in omega1])
         z = mpmath.lu_solve(a, mpmath.matrix([mpmath.mpc(c) for c in r]))
-        n = omega1.dim
+        n = len(omega1)
         return z[n - 2], z[n - 1]
 
 
 def _pivot_ratio(omega1) -> float:
     """max |u_kk| / min |u_kk| of partially pivoted LU after scaling rows,
     then columns, to unit maximum."""
-    a = np.array(omega1.rows, dtype=complex)
+    a = np.array(omega1, dtype=complex)
     a /= np.abs(a).max(axis=1, keepdims=True)
     a /= np.abs(a).max(axis=0, keepdims=True)
     n = len(a)

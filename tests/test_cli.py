@@ -135,6 +135,15 @@ def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
     # checked as the chart's cached jets are built
     (["breather", "--seed", "-1,-1,-1,-2,1,2"], "a1 == a2 and d1 == d2"),
     (["rogue", "--seed", "-0.5,-0.5,-1,-2,1,1"], "b1 == b2"),
+    # finite values whose powers overflow or underflow
+    (["breather", "--seed", "-1,-1,-1,-2,1e200,1e200"], "seed d1"),
+    (["breather", "--seed", "-1,-1,-1,-2,1,1e200"], "seed d2"),
+    (["rogue", "--seed", "-0.5,-0.5,-1,-1,1e100,1e100"], "seed d1"),
+    (["breather", "--lambda", "1e200,1"], "chart lambda"),
+    (["rogue", "--lambda", "1e200,1"], "chart lambda"),
+    (["hybrid", "--lambda", "1e200,1"], "chart lambda"),
+    (["breather", "--lambda", "1e100,1"], "chart lambda"),
+    (["soliton", "--lambda", "1e-170,0"], "chart lambda"),
 ])
 def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
         tmp_path, capsys, argv, field):
@@ -257,6 +266,7 @@ def test_soliton_rejects_plane_wave_seed(capsys):
     ("0,1,nan,-1,1,3", "nx"),
     ("-1,1,3,-1,1,1", "ny"),
     ("0,inf,3,-1,1,3", "x_max"),
+    ("-1e308,1e308,3,-1,1,3", "x_max - x_min"),
 ])
 def test_bad_grid_exits_2_and_names_the_field(tmp_path, capsys, grid, field):
     rc = main(["rogue", "--grid", grid, "--format", "csv",

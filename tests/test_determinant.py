@@ -1,6 +1,6 @@
 """Linear-algebra kernel: determinants (exact cases, cofactor oracle,
-scaling robustness) and the refined solve (Cramer's rule, rational
-oracle, refusal on singular or non-finite input)."""
+scaling robustness) and the refined stacked solve (Cramer's rule,
+rational oracle, gaps at singular or non-finite input)."""
 
 import math
 import random
@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flwave import ConfigError, SingularPointError, SquareMatrix, det, solve
+from flwave import ConfigError, SquareMatrix, det
+from flwave.numerics import NON_FINITE, ZERO_PIVOT, solve_stack
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -125,14 +126,15 @@ def test_solve_matches_cramer_ratios():
         m = random_matrix(rng, 5)
         rhs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for _ in range(5)]
-        z = solve(m, rhs)
+        z, why = solve_stack(np.array([m.rows]), np.array([rhs]))
+        assert why[0] == 0
         d = det(m)
         for j in range(5):
             rows = [list(r) for r in m.rows]
             for i in range(5):
                 rows[i][j] = rhs[i]
             want = det(SquareMatrix(rows)) / d
-            assert abs(z[j] - want) < 1e-12 * max(1.0, abs(want))
+            assert abs(z[0, j] - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_refined_solve_is_exact_on_an_ill_conditioned_system():
@@ -143,8 +145,9 @@ def test_refined_solve_is_exact_on_an_ill_conditioned_system():
     b = [1.0] * n
     want = _exact_solve([[Fraction(v) for v in r] for r in a],
                         [Fraction(v) for v in b])
-    z = solve(SquareMatrix(a), b)
-    for got, w in zip(z, want):
+    z, why = solve_stack(np.array([a], complex), np.array([b], complex))
+    assert why[0] == 0
+    for got, w in zip(z[0], want):
         assert abs(got.imag) == 0.0
         assert abs(Fraction(got.real) - w) <= 2 ** -52 * abs(w)
     # unrefined double-precision elimination is far from that
@@ -153,29 +156,23 @@ def test_refined_solve_is_exact_on_an_ill_conditioned_system():
                for p, w in zip(plain, want)) > 1e-10
 
 
-def test_solve_raises_at_a_zero_pivot():
+def test_solve_marks_a_zero_pivot():
     # det == 1 exactly, but the elimination remainder 2^-80 rounds away:
     # the factorization meets a zero pivot and the solve refuses
     big = 2.0 ** 40
     m = SquareMatrix([[big, big + 1], [big - 1, big]])
     assert det(m) == 0
-    with pytest.raises(SingularPointError):
-        solve(m, [1, 0])
+    z, why = solve_stack(np.array([m.rows]), np.array([[1, 0]], complex))
+    assert why.tolist() == [ZERO_PIVOT]
+    assert np.isnan(z).all()
 
 
-def test_solve_raises_on_non_finite_input():
-    with pytest.raises(SingularPointError):
-        solve(SquareMatrix([[1, 0], [0, float("inf")]]), [1, 1])
-    with pytest.raises(SingularPointError):
-        solve(identity(2), [1, float("nan")])
-
-
-def test_solve_survives_entries_near_the_double_limit():
-    # |entry| overflows abs() but not max(|re|, |im|)
-    huge = 1.5e308
-    m = SquareMatrix([[complex(huge, huge), 0], [0, 1]])
-    z = solve(m, [complex(huge, huge), 2])
-    assert z == [1, 2]
+def test_solve_marks_non_finite_input():
+    a = np.array([[[1, 0], [0, float("inf")]], identity(2).rows], complex)
+    b = np.array([[1, 1], [1, float("nan")]], complex)
+    z, why = solve_stack(a, b)
+    assert why.tolist() == [NON_FINITE, NON_FINITE]
+    assert np.isnan(z).all()
 
 
 def _exact_solve(a, b):

@@ -11,14 +11,11 @@ from flwave import (
     ConfigError,
     DeformationProfile,
     DtConfig,
-    EigenTriple,
-    Jet,
     PlaneWaveSeed,
     RogueChart,
     SquareMatrix,
     ZeroBackground,
     ZeroSeedChart,
-    assemble_system,
     breather_eigenfunction,
     closed_form_rw1,
     critical_lambda,
@@ -26,11 +23,11 @@ from flwave import (
     evaluate_solution,
     plane_wave_field,
     solution_sampler,
-    solve,
-    zero_seed_eigenfunction,
 )
-from flwave.dt_engine import build_triple, spec_from_json
+from flwave.dt_engine import _assemble, eigen_jets, spec_from_json
 from flwave.errors import ConfigError, SingularPointError
+from flwave.numerics import solve_stack
+from flwave.spectral import _one_point
 
 SEED_B = PlaneWaveSeed(-1, -1, -1, -2, 1, 1)
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
@@ -38,8 +35,11 @@ LAM_CRIT = critical_lambda(-0.5, 1.0)
 LIN = DeformationProfile.LINEAR
 
 
-def const_triple(a, b, c):
-    return EigenTriple(Jet([a]), Jet([b]), Jet([c]))
+def point_jets(config, background, point):
+    """Each chart's eigenfunction jets at one point, as the engine builds
+    them: (phi1, phi2, phi3) arrays of shape (order + 1, 1)."""
+    return [eigen_jets(c, background, LIN, *_one_point(point))[0]
+            for c in config.charts]
 
 
 def closed_breather(chart, seed, profile, point):
@@ -69,7 +69,8 @@ def test_one_fold_matrix_structure():
     lam = 0.7 + 0.3j
     p1, p2, p3 = 1.1 - 0.4j, 0.6 + 0.9j, -0.3 + 0.2j
     config = DtConfig((BreatherChart(lam, 1, 1, 1, 0j, 0j),))
-    omega1, r = assemble_system(config, [const_triple(p1, p2, p3)])
+    phis = [tuple(np.array([[p]]) for p in (p1, p2, p3))]
+    omega1, r = (m[0] for m in _assemble(config, phis))
     lc = lam.conjugate()
     want1 = [
         [lam * p1, p2, p3],
@@ -78,7 +79,7 @@ def test_one_fold_matrix_structure():
     ]
     for i in range(3):
         for j in range(3):
-            assert abs(omega1.rows[i][j] - want1[i][j]) < 1e-15
+            assert abs(omega1[i][j] - want1[i][j]) < 1e-15
     repl = [-p1 / lam, p2.conjugate() / lc, p3.conjugate() / lc]
     for i in range(3):
         assert abs(r[i] - repl[i]) < 1e-15
@@ -91,18 +92,18 @@ def test_solve_entries_are_the_determinant_ratios():
     config = DtConfig((RogueChart(LAM_CRIT, multiplicity=1),
                        BreatherChart(0.5 + 0.5j, 0, 1, 1)))
     point = (0.7, -1.3, 0.2)
-    triples = [build_triple(c, SEED_R, LIN, point) for c in config.charts]
-    omega1, r = assemble_system(config, triples)
-    n = omega1.dim
-    assert n == 3 * config.folds and len(r) == n
-    z = solve(omega1, r)
-    d1 = det(omega1)
+    omega1, r = _assemble(config, point_jets(config, SEED_R, point))
+    n = omega1.shape[-1]
+    assert n == 3 * config.folds and r.shape == (1, n)
+    z, why = solve_stack(omega1, r)
+    assert why[0] == 0
+    d1 = det(SquareMatrix(omega1[0].tolist()))
     for col in (n - 2, n - 1):
-        rows = [list(row) for row in omega1.rows]
+        rows = omega1[0].tolist()
         for i in range(n):
-            rows[i][col] = r[i]
+            rows[i][col] = r[0, i]
         want = det(SquareMatrix(rows)) / d1
-        assert abs(z[col] - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(z[0, col] - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_omega1_generically_nonsingular():
@@ -110,19 +111,11 @@ def test_omega1_generically_nonsingular():
     for _ in range(100):
         lam = complex(rng.uniform(0.3, 1.2), rng.uniform(0.3, 1.2))
         h1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        chart = ZeroSeedChart(lam, h1=h1)
+        config = DtConfig((ZeroSeedChart(lam, h1=h1),))
         point = tuple(rng.uniform(-1, 1) for _ in range(3))
-        trip = zero_seed_eigenfunction(chart, LIN, point, 0)
-        omega1, _ = assemble_system(DtConfig((chart,)), [trip])
-        assert abs(det(omega1)) > 1e-12
-
-
-def test_assembly_rejects_short_jets():
-    chart = ZeroSeedChart(1 + 1j, h1=1 + 1j, multiplicity=1)
-    short = zero_seed_eigenfunction(
-        ZeroSeedChart(1 + 1j, h1=1 + 1j), LIN, (0.1, 0.2, 0.0), 0)
-    with pytest.raises(ConfigError, match="needs jet order >= 1, got 0"):
-        assemble_system(DtConfig((chart,)), [short])
+        omega1, _ = _assemble(config, point_jets(config, ZeroBackground(),
+                                                 point))
+        assert abs(det(SquareMatrix(omega1[0].tolist()))) > 1e-12
 
 
 def test_gauge_invariance_of_determinant_ratio():
@@ -131,12 +124,11 @@ def test_gauge_invariance_of_determinant_ratio():
     rng = random.Random(63)
     for _ in range(5):
         point = tuple(rng.uniform(-2, 2) for _ in range(3))
-        trip = breather_eigenfunction(chart, SEED_B, LIN, point, 0)
+        phis = point_jets(config, SEED_B, point)
         gauge = complex(rng.uniform(0.2, 3), rng.uniform(-2, 2))
-        scaled = EigenTriple(gauge * trip.phi1, gauge * trip.phi2,
-                             gauge * trip.phi3)
-        ra = solve(*assemble_system(config, [trip]))[1]
-        rb = solve(*assemble_system(config, [scaled]))[1]
+        scaled = [tuple(gauge * p for p in phi) for phi in phis]
+        ra = solve_stack(*_assemble(config, phis))[0][0, 1]
+        rb = solve_stack(*_assemble(config, scaled))[0][0, 1]
         assert abs(ra - rb) < 1e-10 * max(1.0, abs(ra))
 
 

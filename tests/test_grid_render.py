@@ -237,22 +237,6 @@ def test_heatmap_masked_pixel_is_black(tmp_path):
     assert rows[0][0] != MASK_COLOR
 
 
-def test_heatmap_explicit_value_range_pins_the_scale(tmp_path):
-    spec = GridSpec(0, 1, 0, 1, 2, 2)
-    q1 = np.array([[1.0, 1.0], [1.0, 1.0]]).astype(complex)
-    grid = FieldGrid(spec=spec, q1=q1, q2=q1.copy(),
-                     mask=np.zeros((2, 2), dtype=bool))
-    path = str(tmp_path / "pinned.png")
-    render_heatmap(grid, path, value_range=(0.0, 2.0))
-    _, _, rows = png_pixels(path)
-    assert all(px == COLORMAP_TABLE[128] for row in rows for px in row)
-
-
-def test_heatmap_unknown_channel_rejected(tmp_path):
-    with pytest.raises(ConfigError):
-        render_heatmap(tiny_grid(), str(tmp_path / "x.png"), channel="phase")
-
-
 # -- evaluate_grid -----------------------------------------------------------
 
 
