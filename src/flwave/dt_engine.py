@@ -14,8 +14,9 @@ point gives both.
 Points are evaluated chunk_points(config) at a time: their jets are
 arrays with one column per point, Omega_1 is a (P, 3N, 3N) stack, and
 one stacked solve refines them all.  A chunk holds CHUNK_ENTRIES entries
-of Omega_1 but at least 64 points: 576, 144, 64 and 64 points for
-N = 1..4.  A point's value does not depend on the chunk it is in.
+of Omega_1: 2304, 576, 256 and 144 points for N = 1..4, so a 15x15 N = 3
+panel is one chunk.  A point's value does not depend on the chunk it is
+in.
 evaluate_solution and the sampler's one-point call are the one-point
 faces of the same code.  spec_from_json reads a whole run (seed,
 profile, grid and charts) from its JSON form.
@@ -41,12 +42,12 @@ from .spectral import (BreatherChart, RogueChart, SpectralChart,
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
-# Omega_1 entries per evaluation chunk, P * (3N)^2: it bounds memory,
-# while a call's fixed cost is spread over P points.  A chunk's large
-# temporaries live in each thread's numerics workspace, which grows to
-# fit the largest chunk and is then reused: about 1.5 MB at N = 1 or 2,
-# 1.8 MB at N = 3.  This is 64 points at N = 3.
-CHUNK_ENTRIES = 64 * 81
+# Omega_1 entries per evaluation chunk, P * (3N)^2: a call's fixed cost
+# is spread over P points, 256 at N = 3.  A chunk's large temporaries
+# live in each thread's numerics workspace, the largest of them formed
+# numerics.BLOCK_WORDS at a time, so the workspace stays about as large
+# as it was with chunks of 64 N = 3 points.
+CHUNK_ENTRIES = 256 * 81
 _SPEC_KEYS = {"seed", "profile", "grid", "charts"}
 
 
@@ -67,7 +68,10 @@ class DtConfig:
         for i in range(len(charts)):
             for j in range(i + 1, len(charts)):
                 li, lj = charts[i].lam, charts[j].lam
-                if abs(li - lj) <= 1e-12 * max(1.0, abs(li), abs(lj)):
+                # each modulus is finite, but their distance may not be
+                d = li - lj
+                if math.hypot(d.real, d.imag) \
+                        <= 1e-12 * max(1.0, abs(li), abs(lj)):
                     raise ConfigError(
                         f"charts {i} and {j} share lambda = {li!r}")
 
@@ -313,8 +317,8 @@ def eigen_jets(chart: SpectralChart, background: SeedBackground,
 
 def chunk_points(config: DtConfig) -> int:
     """Points per evaluation chunk of the transformation: as many as
-    CHUNK_ENTRIES entries of Omega_1 hold, and at least 64."""
-    return max(64, CHUNK_ENTRIES // (3 * config.folds) ** 2)
+    CHUNK_ENTRIES entries of Omega_1 hold."""
+    return CHUNK_ENTRIES // (3 * config.folds) ** 2
 
 
 def _evaluate_chunk(background, config, profile, x, y, t):

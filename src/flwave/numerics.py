@@ -17,7 +17,10 @@ TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).
 
 The large temporaries of an evaluation chunk live in a per-thread
 workspace (`scratch`): flat buffers that only grow and are reused from
-chunk to chunk, so a warm evaluation allocates none of them afresh.
+chunk to chunk, so a warm evaluation allocates none of them afresh.  The
+largest are formed a block of BLOCK_WORDS at a time, and the solve's
+buffers reuse those of the jets and the assembly, so the workspace does
+not grow with the chunk.
 """
 from __future__ import annotations
 
@@ -239,6 +242,17 @@ _workspace = _Workspace()
 # arrays of fewer float64 words are allocated afresh: the allocator
 # recycles them without faulting, and a view costs more than they do
 SCRATCH_MIN_WORDS = 4096
+# float64 words in the largest array of one block: series_mul's products
+# and _residual's real-form systems are formed for as many points as fit,
+# so these temporaries keep this size however many points a chunk holds
+BLOCK_WORDS = 32768
+# the solve's buffers, each by the jets' or the assembly's buffer whose
+# memory it takes: a chunk's jets and assembly are done, and hold nothing
+# in their buffers, before its solve begins, and the solve's equilibration
+# is done before its residuals
+_SHARED = {"equilibrate": "assembly", "neg": "assembly",
+           "neg_hi": "series_mul", "neg_lo": "cmul_tmp",
+           "res_errs": "rogue_series", "stack0": "cmul"}
 
 
 def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -247,13 +261,16 @@ def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
 
     The next call with the same name in the same thread may hand out the
     same memory, so each name belongs to one kernel, which writes the
-    array before reading it and returns nothing that aliases it.  A
-    buffer grows to the largest shape asked of it and is then kept, so
-    repeated chunks reuse their memory instead of faulting it back in.
+    array before reading it and returns nothing that aliases it.  A name
+    of the solve takes the buffer _SHARED maps it to, one of the jets' or
+    the assembly's, which are never in use at the same time.  A buffer
+    grows to the largest shape asked of it and is then kept, so repeated
+    chunks reuse their memory instead of faulting it back in.
     """
     words = math.prod(shape) * (2 if dtype is complex else 1)
     if words < SCRATCH_MIN_WORDS:
         return np.empty(shape, dtype)
+    name = _SHARED.get(name, name)
     buf = _workspace.buffers.get(name)
     if buf is None or len(buf) < words:
         buf = _workspace.buffers[name] = np.empty(words)
@@ -328,13 +345,20 @@ def series_mul(t: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
     Coefficient n adds t[n, j] * phi[j] for j = n down to 0, the order in
     which jet_mul adds them.  Products above the diagonal are never added,
     so a non-finite high coefficient of phi cannot reach a lower one.
+    The products are formed for as many points at a time as
+    BLOCK_WORDS holds.
     """
-    k = phi.shape[-2]
-    t, phi = t[..., None], phi[..., None, :, :]
-    terms = cmul(t, phi, scratch("series_mul", np.broadcast(t, phi).shape,
-                                 complex))
+    k, p = phi.shape[-2:]
+    rows, cols = t[..., None], phi[..., None, :, :]
+    shape = np.broadcast(rows, cols).shape
     if out is None:
-        out = np.empty(terms.shape[:-3] + terms.shape[-2:], complex)
+        out = np.empty(shape[:-3] + shape[-2:], complex)
+    step = BLOCK_WORDS // (2 * math.prod(shape[:-1])) or 1
+    if p > step:
+        for s in range(0, p, step):
+            series_mul(t, phi[..., s:s + step], out[..., s:s + step])
+        return out
+    terms = cmul(rows, cols, scratch("series_mul", shape, complex))
     out[...] = 0
     for j in range(k - 1, -1, -1):
         out[..., j:, :] += terms[..., j:, j, :]
@@ -405,25 +429,35 @@ def _pow2_exponents(m: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(np.frexp(m)[1], -1022), 1022)
 
 
-def _equilibrate(a: np.ndarray):
+def _equilibrate(a: np.ndarray, out=None):
     """Scale the rows, then the columns, of each matrix of a (P, n, n)
     stack by powers of two, so that each one's largest entry lands in
-    [0.5, 1).
+    [0.5, 1), into out when given (it must not overlap a).
 
     Returns the scaled stack, the row and column exponents (entry (i, j)
     is divided by 2**(row[i] + col[j]), exactly) and whether each
-    matrix's entries are all finite.
+    matrix's entries are all finite.  The magnitudes and the scaled real
+    and imaginary parts are formed in this thread's workspace.
     """
-    mag = _magnitude(a)
+    if out is None:
+        out = np.empty_like(a)
+    # laid out as a is, so that each pass runs along a's memory: the points
+    # run fastest in a stack that _assemble gathered
+    p, n, _ = a.shape
+    if a.strides[0] < a.strides[2]:
+        re, im = scratch("equilibrate", (2, n, n, p)).transpose(0, 3, 1, 2)
+    else:
+        re, im = scratch("equilibrate", (2, p, n, n))
+    mag = np.maximum(np.abs(a.real, re), np.abs(a.imag, im), out=re)
     row_mag = np.maximum.reduce(mag, axis=2)
     row = _pow2_exponents(row_mag)
     rs = np.ldexp(1.0, -row)[:, :, None]
-    col = _pow2_exponents(np.maximum.reduce(mag * rs, axis=1))
+    col = _pow2_exponents(np.maximum.reduce(np.multiply(mag, rs, mag),
+                                            axis=1))
     cs = np.ldexp(1.0, -col)[:, None, :]
-    out = np.empty_like(a)
     # two steps, as a single factor 2**-(row + col) could overflow
-    out.real = a.real * rs * cs
-    out.imag = a.imag * rs * cs
+    out.real = np.multiply(np.multiply(a.real, rs, re), cs, re)
+    out.imag = np.multiply(np.multiply(a.imag, rs, im), cs, im)
     finite = np.logical_and.reduce(np.isfinite(row_mag), axis=1)
     return out, row, col, finite
 
@@ -486,16 +520,25 @@ def _neg_real_form(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """b - A x of each system, as if computed in twice the working
-    precision and then rounded.
+    precision and then rounded, for as many systems at a time as
+    BLOCK_WORDS holds of -A in real form.
 
     -A in real form, column by column (_neg_real_form), and its Dekker
     split are built in this thread's workspace.  TwoProd turns each
     product into an exact pair; a TwoSum tree of fixed shape adds a row's
     products, their errors are summed beside it, and b comes last.  The
-    tree's levels are this thread's workspace too; with columns first,
-    each level works on whole contiguous columns.
+    tree's levels alternate between the products' buffers and the
+    split's, which are free once the errors are formed; with columns
+    first, each level works on whole contiguous columns.
     """
     p, n = b.shape
+    step = BLOCK_WORDS // (2 * n) ** 2 or 1
+    if p > step:
+        out = np.empty(b.shape, complex)
+        for s in range(0, p, step):
+            part = slice(s, s + step)
+            out[part] = _residual(a[part], b[part], x[part])
+        return out
     shape = (2 * n, p, 2 * n)
     neg = _neg_real_form(a, scratch("neg", shape))
     nh, nl = _split(neg, scratch("neg_hi", shape), scratch("neg_lo", shape))
@@ -503,16 +546,14 @@ def _residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     xr[:n, :, 0] = x.real.T
     xr[n:, :, 0] = x.imag.T
     xh, xl = _split(xr, np.empty(xr.shape), np.empty(xr.shape))
-    # the tree's levels alternate between two pairs of buffers; the
-    # products overwrite neg, and the first level's buffer is free until
-    # that level
-    here, there = ("res_terms", "res_errs"), ("res_s", "res_e")
     terms = np.multiply(neg, xr, neg)
-    errs = np.multiply(nh, xh, scratch(here[1], neg.shape))
+    errs = np.multiply(nh, xh, scratch("res_errs", shape))
     errs -= terms
-    tmp = scratch(there[0], neg.shape)
-    for u, v in ((nh, xl), (nl, xh), (nl, xl)):
-        errs += np.multiply(u, v, tmp)
+    # the split's halves take the products they are last read for
+    errs += np.multiply(nh, xl, nh)
+    errs += np.multiply(nl, xh, nh)
+    errs += np.multiply(nl, xl, nl)
+    here, there = ("neg", "res_errs"), ("neg_hi", "neg_lo")
     while len(terms) > 1:
         half, odd = divmod(len(terms), 2)
         end = len(terms) - odd
@@ -554,8 +595,14 @@ def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
     why = np.zeros(len(a), np.int8) if why is None else why.copy()
     z = np.full(b.shape, np.nan, complex)
     all_of, max_of = np.logical_and.reduce, np.maximum.reduce
+    # the equilibrated stack is in one of two workspace buffers, and the
+    # systems kept of it are gathered into whichever one a is not in: a
+    # gather cannot write over its own source, and only with mode "clip"
+    # does take write straight into out
+    spare, other = "stack0", "stack1"
     with np.errstate(all="ignore"):
-        a, row, col, finite = _equilibrate(a)
+        a, row, col, finite = _equilibrate(
+            a, scratch(other, a.shape, complex))
         b = rmul(b, np.ldexp(1.0, -row))
         finite &= all_of(np.isfinite(b), axis=1)
         why[~finite & (why == 0)] = NON_FINITE
@@ -563,17 +610,16 @@ def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
         if not idx.size:
             return z, why
         if idx.size < len(a):
-            a, b, col = a[idx], b[idx], col[idx]
+            a = np.take(a, idx, axis=0, mode="clip", out=scratch(
+                spare, (idx.size,) + a.shape[1:], complex))
+            spare, other = other, spare
+            b, col = b[idx], col[idx]
         x, singular = _lapack_solve(a, b)
         why[idx[singular]] = ZERO_PIVOT
         keep = ~singular
         # the scaled system solves for x with z = diag(2**-col) x; the
         # stopping rule weighs corrections on z's own scale
         col_scale = np.ldexp(1.0, -col)
-        # the kept systems are gathered into whichever of two buffers a
-        # is not in: a gather cannot write over its own source, and only
-        # with mode "clip" does take write straight into out
-        spare, other = "subset0", "subset1"
         for _ in range(MAX_CORRECTIONS):
             if not all_of(keep):
                 sel = keep.nonzero()[0]

@@ -18,6 +18,7 @@ The `*_eigenfunction` builders are their one-point faces.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,6 +103,8 @@ def _check_chart_common(lam: complex, multiplicity: int, **values):
     for name, v in (("lambda", lam), *values.items()):
         if not cmath.isfinite(v):
             raise ConfigError(f"chart {name} must be finite, got {v!r}")
+    if math.isinf(math.hypot(lam.real, lam.imag)):
+        raise ConfigError(f"chart lambda = {lam!r}: its modulus overflows")
     if lam * lam == 0:  # lambda = 0, or a square the builders divide by
         raise ConfigError(f"chart lambda = {lam!r}: its square is 0")
     if multiplicity < 0:

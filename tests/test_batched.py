@@ -80,7 +80,7 @@ def test_chunk_boundaries_do_not_move_values(name):
 def test_a_chunk_holds_a_fixed_count_of_omega_entries(monkeypatch):
     configs = [DtConfig((ZeroSeedChart(1 + 1j, multiplicity=n - 1),))
                for n in (1, 2, 3, 4)]
-    assert [chunk_points(c) for c in configs] == [576, 144, 64, 64]
+    assert [chunk_points(c) for c in configs] == [2304, 576, 256, 144]
     sizes = []
     chunk = dt_engine._evaluate_chunk
 
@@ -90,7 +90,7 @@ def test_a_chunk_holds_a_fixed_count_of_omega_entries(monkeypatch):
 
     monkeypatch.setattr(dt_engine, "_evaluate_chunk", counted)
     for name, n, want in (("fig2a", 21, [441]),
-                          ("fig6f", 15, [64, 64, 64, 33])):
+                          ("fig6f", 15, [225])):
         s = SCENARIOS[name]
         sizes.clear()
         evaluate_grid(s.background, s.charts, s.profile,

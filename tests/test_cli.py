@@ -144,6 +144,8 @@ def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
     (["hybrid", "--lambda", "1e200,1"], "chart lambda"),
     (["breather", "--lambda", "1e100,1"], "chart lambda"),
     (["soliton", "--lambda", "1e-170,0"], "chart lambda"),
+    (["soliton", "--lambda", "1.5e308,1.5e308", "--lambda", "1,1"],
+     "chart lambda"),
 ])
 def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
         tmp_path, capsys, argv, field):

@@ -140,6 +140,14 @@ def test_config_rejects_duplicate_lambda():
         DtConfig((ZeroSeedChart(1 + 1j), ZeroSeedChart(1 + 1j)))
 
 
+def test_config_compares_lambdas_whose_distance_overflows():
+    # each modulus is finite, so each chart stands; their distance is not
+    config = DtConfig((ZeroSeedChart(1.3e308), ZeroSeedChart(1.3e308j)))
+    assert config.folds == 2
+    with pytest.raises(ConfigError, match="chart lambda"):
+        ZeroSeedChart(1.5e308 + 1.5e308j)
+
+
 def test_config_rejects_excess_folds():
     charts = tuple(ZeroSeedChart(complex(1, k)) for k in range(1, 6))
     with pytest.raises(ConfigError):

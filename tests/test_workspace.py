@@ -15,7 +15,7 @@ import pytest
 import flwave
 from flwave import evaluate_grid
 from flwave.cli import SCENARIOS
-from flwave.dt_engine import evaluate_points
+from flwave.dt_engine import chunk_points, evaluate_points
 from flwave.numerics import solve_stack
 
 try:
@@ -63,25 +63,58 @@ for arg in sys.argv[1:]:
 """
 
 
-@pytest.fixture(scope="module")
-def warm_faults():
-    if not _counts_minor_faults():
-        pytest.skip("the platform does not count minor page faults")
+def _run_fresh(script, frames) -> str:
+    """The stdout of script run on these (name, nodes) frames in a fresh
+    interpreter that imports this flwave."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(flwave.__file__))]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     out = subprocess.run(
-        [sys.executable, "-c", _COUNT_WARM_FAULTS]
-        + [f"{name}:{nodes}" for name, nodes in WARM_FRAMES],
+        [sys.executable, "-c", script]
+        + [f"{name}:{nodes}" for name, nodes in frames],
         env=env, capture_output=True, text=True, timeout=300, check=True)
+    return out.stdout
+
+
+@pytest.fixture(scope="module")
+def warm_faults():
+    if not _counts_minor_faults():
+        pytest.skip("the platform does not count minor page faults")
     return {name: int(count) for name, count in
-            (line.split() for line in out.stdout.splitlines())}
+            (line.split() for line in
+             _run_fresh(_COUNT_WARM_FAULTS, WARM_FRAMES).splitlines())}
 
 
 @pytest.mark.parametrize("name", [name for name, _ in WARM_FRAMES])
 def test_a_warm_evaluation_makes_almost_no_page_faults(warm_faults, name):
     assert warm_faults[name] <= MAX_WARM_FAULTS
+
+
+# what a thread's workspace may hold after the warm frames and one whole
+# N = 1 chunk (fig2a at 48x48 nodes): 1.74 MiB with chunks of 64 N = 3
+# points, 6.6 MiB with chunks of 256 and temporaries as large as a chunk
+MAX_WORKSPACE_BYTES = 2.5 * 2**20
+BUDGET_FRAMES = WARM_FRAMES + [("fig2a", 48)]
+# sized in a fresh interpreter: earlier tests grow this thread's buffers
+_WORKSPACE_BYTES = """
+import dataclasses, sys
+from flwave import evaluate_grid
+from flwave.cli import SCENARIOS
+from flwave.numerics import _workspace
+for arg in sys.argv[1:]:
+    name, nodes = arg.split(":")
+    s = SCENARIOS[name]
+    evaluate_grid(s.background, s.charts, s.profile,
+                  dataclasses.replace(s.grid, nx=int(nodes), ny=int(nodes)))
+print(sum(buf.nbytes for buf in _workspace.buffers.values()))
+"""
+
+
+def test_the_workspace_stays_within_its_budget():
+    assert chunk_points(SCENARIOS["fig2a"].charts) == 48 * 48
+    held = int(_run_fresh(_WORKSPACE_BYTES, BUDGET_FRAMES))
+    assert held <= MAX_WORKSPACE_BYTES
 
 
 def _grid_bytes(name, nodes):
