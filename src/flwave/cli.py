@@ -196,8 +196,6 @@ def _shift_table(entries) -> tuple:
             raise ConfigError(f"--shift index must be a whole number in "
                               f"0..{MAX_FOLDS - 1}, got {entry!r}")
         table[int(j)] = (v, w)
-    if not table:
-        return ()
     return tuple(table.get(j, (0.0, 0.0)) for j in range(max(table) + 1))
 
 

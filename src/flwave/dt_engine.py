@@ -33,9 +33,8 @@ from .errors import ConfigError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, _number, background_field, grid_from_json,
                     profile_from_json, seed_from_json)
-from .numerics import (GAP_REASONS, NON_FINITE, OVERFLOW, Jet, _frozen,
-                       jet_div, jet_mul, scratch, series_mul, solve_stack,
-                       toeplitz)
+from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, jet_div,
+                       jet_mul, scratch, series_mul, solve_stack, toeplitz)
 from .spectral import (BreatherChart, RogueChart, SpectralChart,
                        ZeroSeedChart, breather_jets, critical_lambda,
                        rogue_jets, zero_seed_jets)
@@ -306,7 +305,7 @@ def _chart_from_json(i: int, chart, background: SeedBackground):
 def eigen_jets(chart: SpectralChart, background: SeedBackground,
                profile: DeformationProfile, x, y, t):
     """The chart's eigenfunction jets at many points, of the order its
-    derivative rows need, and where they overflow."""
+    derivative rows need."""
     order = _jet_power(chart) * chart.multiplicity
     if isinstance(chart, ZeroSeedChart):
         return zero_seed_jets(chart, profile, x, y, t, order)
@@ -324,14 +323,9 @@ def chunk_points(config: DtConfig) -> int:
 def _evaluate_chunk(background, config, profile, x, y, t):
     """(q1, q2, why) at up to chunk_points(config) points given as
     contiguous arrays."""
-    over = np.zeros(len(x), bool)
-    phis = []
-    for chart in config.charts:
-        phi, chart_over = eigen_jets(chart, background, profile, x, y, t)
-        phis.append(phi)
-        over |= chart_over
-    omega1, r = _assemble(config, phis)
-    z, why = solve_stack(omega1, r, over * np.int8(OVERFLOW))
+    phis = [eigen_jets(chart, background, profile, x, y, t)
+            for chart in config.charts]
+    z, why = solve_stack(*_assemble(config, phis))
     q1b, q2b = background_field(background, (x, y, t))
     q1 = q1b + z[:, -2]
     q2 = q2b + z[:, -1]
@@ -349,9 +343,9 @@ def evaluate_points(background: SeedBackground, config: DtConfig,
 
     Returns complex arrays q1, q2, NaN at gaps, and an int8 array saying
     why each gap is one (numerics.GAP_REASONS; 0 for a value).  A gap is
-    a point whose exponentials overflow, whose Omega_1 has a zero pivot or
-    a non-finite entry, whose solution or field is not finite, or whose
-    refined solve does not converge.  The points are evaluated
+    a point whose Omega_1 has a zero pivot or a non-finite entry (as an
+    overflowed exponential leaves), whose solution or field is not finite,
+    or whose refined solve does not converge.  The points are evaluated
     chunk_points(config) at a time; each one's value is the same in any
     chunk.
     """

@@ -53,13 +53,14 @@ class FieldGrid:
     q2: np.ndarray
     mask: np.ndarray
 
+    # np.hypot rounds as Python's abs(complex) does; np.abs does not
     @property
     def abs_q1(self) -> np.ndarray:
-        return np.abs(self.q1)
+        return np.hypot(self.q1.real, self.q1.imag)
 
     @property
     def abs_q2(self) -> np.ndarray:
-        return np.abs(self.q2)
+        return np.hypot(self.q2.real, self.q2.imag)
 
     @property
     def singular_count(self) -> int:
@@ -118,11 +119,10 @@ def _node_table(grid: FieldGrid) -> np.ndarray:
     table = np.empty((x.size, 8))
     table[:, 0] = x.ravel()
     table[:, 1] = y.ravel()
-    for col, q in ((2, grid.q1.ravel()), (5, grid.q2.ravel())):
-        table[:, col] = q.real
-        table[:, col + 1] = q.imag
-        # np.hypot rounds as Python's abs(complex) does; np.abs does not
-        table[:, col + 2] = np.hypot(q.real, q.imag)
+    for col, q, a in ((2, grid.q1, grid.abs_q1), (5, grid.q2, grid.abs_q2)):
+        table[:, col] = q.real.ravel()
+        table[:, col + 1] = q.imag.ravel()
+        table[:, col + 2] = a.ravel()
     table[grid.mask.ravel(), 2:] = np.nan
     return table
 

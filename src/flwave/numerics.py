@@ -36,14 +36,11 @@ from .errors import ConfigError
 # when locating the leading term of a series
 ZERO_COEFF_RATIO = 1e-12
 
-# exp overflows just above exp(709.78); an argument past this is a gap
-EXP_ARG_LIMIT = 709.0
-
 # why a sample is a gap; 0 means it is a value
-OVERFLOW, NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE = 1, 2, 3, 4
+NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE = 2, 3, 4
 GAP_REASONS = {
-    OVERFLOW: "exp argument real part overflows",
-    NON_FINITE: "non-finite matrix, right-hand side or result",
+    NON_FINITE: "non-finite matrix, right-hand side or result, as where "
+                "an exponential overflows",
     ZERO_PIVOT: "zero pivot: the matrix is singular",
     NO_CONVERGENCE: "iterative refinement did not converge",
 }
@@ -365,20 +362,18 @@ def series_mul(t: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def series_exp(a: np.ndarray):
-    """exp of point jets a (..., K, P), and which points overflow (any
-    leading index), shape (P,).
+def series_exp(a: np.ndarray) -> np.ndarray:
+    """exp of point jets a (..., K, P).
 
     The constant term is exp(re) (cos im + i sin im); the others follow
-    from the recurrence e' = e * a'.  A point whose argument has a real
-    part above EXP_ARG_LIMIT is flagged and its values are meaningless.
+    from the recurrence e' = e * a'.  Where exp(re) overflows, the jet
+    holds inf or NaN, and so does every Omega_1 it reaches.
     """
     k = a.shape[-2]
     e = np.empty_like(a)
     # contiguous inputs, so that every width takes the same exp/cos/sin loop
-    re = np.ascontiguousarray(a[..., 0, :].real)
+    r = np.exp(np.ascontiguousarray(a[..., 0, :].real))
     im = np.ascontiguousarray(a[..., 0, :].imag)
-    r = np.exp(re)
     e[..., 0, :].real = r * np.cos(im)
     e[..., 0, :].imag = r * np.sin(im)
     ja = rmul(a[..., 1:, :], np.arange(1.0, k)[:, None]) if k > 1 else None
@@ -389,8 +384,7 @@ def series_exp(a: np.ndarray):
             acc = acc + terms[..., i, :]
         e[..., n, :].real = acc.real / n
         e[..., n, :].imag = acc.imag / n
-    over = re > EXP_ARG_LIMIT
-    return e, np.logical_or.reduce(over.reshape(-1, over.shape[-1]))
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +574,18 @@ def _residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
+def solve_stack(a: np.ndarray, b: np.ndarray):
     """z with a[p] z[p] = b[p] for each system of a (P, n, n) stack, and
     why each gap is one (an int8 code per system, 0 for a value).
 
-    The stack is equilibrated; systems already marked in `why` and those
-    with a non-finite entry are dropped, and the others are solved by one
-    stacked LAPACK call and refined against the residual: every system
-    takes one correction, and the ones whose last correction is still
-    above REFINE_TOL * max|z| take another, at most MAX_CORRECTIONS in
-    all.  A non-finite entry, a zero pivot, a non-finite iterate and a
+    The stack is equilibrated; systems with a non-finite entry are
+    dropped, and the others are solved by one stacked LAPACK call and
+    refined against the residual: every system takes one correction,
+    and the ones whose last correction is still above REFINE_TOL *
+    max|z| take another, at most MAX_CORRECTIONS in all.  A non-finite entry, a zero pivot, a non-finite iterate and a
     system that does not converge are gaps, and their z is NaN.
     """
-    why = np.zeros(len(a), np.int8) if why is None else why.copy()
+    why = np.zeros(len(a), np.int8)
     z = np.full(b.shape, np.nan, complex)
     all_of, max_of = np.logical_and.reduce, np.maximum.reduce
     # the equilibrated stack is in one of two workspace buffers, and the
@@ -605,8 +598,8 @@ def solve_stack(a: np.ndarray, b: np.ndarray, why=None):
             a, scratch(other, a.shape, complex))
         b = rmul(b, np.ldexp(1.0, -row))
         finite &= all_of(np.isfinite(b), axis=1)
-        why[~finite & (why == 0)] = NON_FINITE
-        idx = (why == 0).nonzero()[0]
+        why[~finite] = NON_FINITE
+        idx = finite.nonzero()[0]
         if not idx.size:
             return z, why
         if idx.size < len(a):

@@ -10,10 +10,10 @@ transformation fall out of the same code path as plain evaluation.
 The `*_jets` builders take the coordinates of many points as float
 arrays and return the three components as complex arrays of shape
 (order + 1, P), the third being the second object itself where the two
-are equal by construction, plus where an exponential overflowed.  Only
-the exponents vary per point: the rest is a per-chart static jet,
-cached, and the chart's checks against its seed run as it is built.
-The `*_eigenfunction` builders are their one-point faces.
+are equal by construction.  Only the exponents vary per point: the rest
+is a per-chart static jet, cached, and the chart's checks against its
+seed run as it is built.  The `*_eigenfunction` builders are their
+one-point faces.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigError, NumericError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     profile_eval)
-from .numerics import (GAP_REASONS, OVERFLOW, Jet, _frozen, cmul, jet_div,
-                       jet_mul, jet_sqrt_even, polar, rmul, scratch,
+from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, cmul,
+                       jet_div, jet_mul, jet_sqrt_even, polar, rmul, scratch,
                        series_exp, series_mul, toeplitz)
 
 # relative tolerance deciding whether S(lambda) counts as zero: the critical
@@ -195,10 +195,12 @@ def _one_point(point) -> tuple:
     return tuple(np.array([float(v)]) for v in point)
 
 
-def _one_triple(phis, over, point) -> EigenTriple:
-    """The EigenTriple of a one-point build."""
-    if over[0]:
-        raise SingularPointError(f"{GAP_REASONS[OVERFLOW]} at point {point!r}")
+def _one_triple(phis, point) -> EigenTriple:
+    """The EigenTriple of a one-point build; SingularPointError where it
+    is not finite."""
+    if not all(np.isfinite(phi).all() for phi in phis):
+        raise SingularPointError(
+            f"{GAP_REASONS[NON_FINITE]} at point {point!r}")
     return EigenTriple(*(Jet(phi[:, 0]) for phi in phis))
 
 
@@ -220,14 +222,14 @@ def zero_seed_jets(chart: ZeroSeedChart, profile: DeformationProfile,
     cx, cy = _zero_seed_static(chart, jet_order)
     exponent = _exponent(cx, cy, 1j * chart.h1, x, y,
                          profile_eval(profile, y + t))
-    (phi1, phi23), over = series_exp(np.array([exponent, -exponent]))
-    return (phi1, phi23, phi23), over
+    phi1, phi23 = series_exp(np.array([exponent, -exponent]))
+    return phi1, phi23, phi23
 
 
 def zero_seed_eigenfunction(chart: ZeroSeedChart, profile: DeformationProfile,
                             point, jet_order: int) -> EigenTriple:
-    return _one_triple(*zero_seed_jets(chart, profile, *_one_point(point),
-                                       jet_order), point)
+    return _one_triple(zero_seed_jets(chart, profile, *_one_point(point),
+                                      jet_order), point)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +277,7 @@ def breather_jets(chart: BreatherChart, seed: PlaneWaveSeed,
                   profile: DeformationProfile, x, y, t, jet_order: int):
     w_rows, cx, cy, ch, weights = _breather_static(chart, seed, jet_order)
     f = profile_eval(profile, y + t)
-    e, over = series_exp(_exponent(cx, cy, ch, x, y, f))
-    e = rmul(e, weights)
+    e = rmul(series_exp(_exponent(cx, cy, ch, x, y, f)), weights)
     e1, e2, e3 = e
     w_e2, w_e3 = series_mul(w_rows, e[1:])
     psi1 = w_e2 + w_e3
@@ -285,17 +286,17 @@ def breather_jets(chart: BreatherChart, seed: PlaneWaveSeed,
     if chart.l1 == 0 and (seed.a1, seed.b1, seed.c1) \
             == (seed.a2, seed.b2, seed.c2):
         psi2 = cmul(-e1 + e2 + e3, polar(1.0, -th1))
-        return (psi1, psi2, psi2), over
+        return psi1, psi2, psi2
     psi2, psi3 = cmul(np.array([-e1 + e2 + e3, e1 + e2 + e3]),
                       polar(1.0, -np.array([th1, th2]))[:, None])
-    return (psi1, psi2, psi3), over
+    return psi1, psi2, psi3
 
 
 def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
                            profile: DeformationProfile, point,
                            jet_order: int) -> EigenTriple:
-    return _one_triple(*breather_jets(chart, seed, profile,
-                                      *_one_point(point), jet_order), point)
+    return _one_triple(breather_jets(chart, seed, profile,
+                                     *_one_point(point), jet_order), point)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,7 @@ def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
     w = np.empty(len(x), complex)
     w.real, w.imag = x, y
     A = (cmul(k_xy[:, None], w) + rmul(k_t[:, None], t)) + k_shift[:, None]
-    e, over = series_exp(np.array([A, -A]))
+    e = series_exp(np.array([A, -A]))
     eA, emA = e
     # the eps^0 coefficients of both brackets are exactly zero (sqrt(S)
     # has none), so dividing by eps drops them
@@ -359,13 +360,13 @@ def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
     phi1 = cmul(bracket1, phase)
     phi23 = cmul(bracket2, phase.conj())
     _check_even_parity(phi1, phi23)
-    return (phi1, phi23, phi23), over
+    return phi1, phi23, phi23
 
 
 def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
                             jet_order: int) -> EigenTriple:
-    return _one_triple(*rogue_jets(chart, seed, *_one_point(point),
-                                   jet_order), point)
+    return _one_triple(rogue_jets(chart, seed, *_one_point(point),
+                                  jet_order), point)
 
 
 def _check_even_parity(phi1: np.ndarray, phi23: np.ndarray):

@@ -32,7 +32,7 @@ RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
 def _system(s, point):
     """Omega_1 and r at one point, as the engine assembles them."""
     phis = [dt_engine.eigen_jets(c, s.background, s.profile,
-                                 *_one_point(point))[0]
+                                 *_one_point(point))
             for c in s.charts.charts]
     omega1, r = dt_engine._assemble(s.charts, phis)
     return omega1[0], r[0]

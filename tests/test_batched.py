@@ -15,11 +15,12 @@ from flwave import (DeformationProfile, DtConfig, FieldSample, GridSpec,
                     ZeroBackground, ZeroSeedChart, background_field,
                     closed_form_rw1, critical_lambda, dt_engine,
                     evaluate_grid, pde_residual, peak_search,
-                    plane_wave_field, solution_sampler, verify)
+                    plane_wave_field, solution_sampler, verify,
+                    zero_seed_eigenfunction)
 from flwave.cli import SCENARIOS
 from flwave.dt_engine import chunk_points, evaluate_points
-from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, OVERFLOW, ZERO_PIVOT,
-                             Jet, _equilibrate, _lapack_solve, _residual,
+from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, ZERO_PIVOT, Jet,
+                             _equilibrate, _lapack_solve, _residual,
                              _split, jet_mul, series_mul, solve_stack,
                              toeplitz)
 from flwave.verify import _sample_many
@@ -124,10 +125,9 @@ def test_gaps_in_one_stack_leave_the_other_systems_alone():
     b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     a[1, 2] = a[1, 0] * 2.0  # exactly singular
     a[3, 1, 1] = np.inf  # a non-finite entry
-    why = np.zeros(6, np.int8)
-    why[4] = OVERFLOW  # marked before the solve, as an exp overflow is
-    z, got = solve_stack(a, b, why)
-    assert got.tolist() == [0, ZERO_PIVOT, 0, NON_FINITE, OVERFLOW, 0]
+    b[4, 0] = np.nan  # inf * 0, as an overflowed exponential leaves
+    z, got = solve_stack(a, b)
+    assert got.tolist() == [0, ZERO_PIVOT, 0, NON_FINITE, NON_FINITE, 0]
     assert np.isnan(z[[1, 3, 4]]).all()
     for p in (0, 2, 5):
         alone, w = solve_stack(a[p:p + 1], b[p:p + 1])
@@ -140,7 +140,7 @@ def test_engine_masks_only_the_bad_nodes_of_a_chunk():
     points = [(0.3, 0.1, 0.0), (400.0, 0.0, 0.0), (-0.7, 0.2, 0.1),
               (-400.0, 1.0, 0.0), (1.1, -0.4, 0.0)]
     q1, q2, why = evaluate_points(ZeroBackground(), SOLITON, LIN, points)
-    assert why.tolist() == [0, OVERFLOW, 0, OVERFLOW, 0]
+    assert why.tolist() == [0, NON_FINITE, 0, NON_FINITE, 0]
     alone = _one_at_a_time(solution_sampler(ZeroBackground(), SOLITON, LIN),
                            points)
     assert q1.tobytes() == alone[0].tobytes()
@@ -153,7 +153,7 @@ def test_engine_masks_only_the_bad_nodes_of_a_chunk():
 
 
 def test_one_point_face_names_the_gap():
-    with pytest.raises(SingularPointError, match="exp argument real part"):
+    with pytest.raises(SingularPointError, match="exponential overflows"):
         dt_engine.evaluate_solution(ZeroBackground(), SOLITON, LIN,
                                     (400.0, 0.0, 0.0))
     with pytest.raises(SingularPointError, match="non-finite"):
@@ -166,6 +166,24 @@ def test_one_point_face_names_the_gap():
     with pytest.raises(SingularPointError, match="did not converge"):
         dt_engine.evaluate_solution(s.background, s.charts, s.profile,
                                     (-80.0, -80.0, 0.0))
+
+
+def test_exp_finite_near_the_double_limit_is_a_value():
+    # on fig1a's row y = t = 0 the soliton's exponent has real part 2x:
+    # 709.2 and 709.6 still have a finite exp, and the field there is 0
+    # like its neighbours'; at 710 exp overflows and the node is a gap
+    s = SCENARIOS["fig1a"]
+    points = [(354.6, 0.0, 0.0), (354.8, 0.0, 0.0), (355.0, 0.0, 0.0)]
+    q1, _, why = evaluate_points(s.background, s.charts, s.profile, points)
+    assert why.tolist() == [0, 0, NON_FINITE]
+    assert abs(q1[0]) == abs(q1[1]) == 0.0
+    with pytest.raises(SingularPointError, match="non-finite"):
+        dt_engine.evaluate_solution(s.background, s.charts, s.profile,
+                                    points[2])
+    with np.errstate(all="ignore"), \
+            pytest.raises(SingularPointError, match="non-finite"):
+        zero_seed_eigenfunction(s.charts.charts[0], s.profile,
+                                (400.0, 0.0, 0.0), 0)
 
 
 def test_far_field_nodes_are_masked_or_values():

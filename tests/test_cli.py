@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from flwave import (BreatherChart, cli, dt_engine, evaluate_grid,
@@ -146,6 +147,7 @@ def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
     (["soliton", "--lambda", "1e-170,0"], "chart lambda"),
     (["soliton", "--lambda", "1.5e308,1.5e308", "--lambda", "1,1"],
      "chart lambda"),
+    (["breather", "--lambda", "a,b"], "--lambda wants numbers"),
 ])
 def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
         tmp_path, capsys, argv, field):
@@ -212,8 +214,8 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "lambda" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"],
-                         ids=["malformed", "not-utf8"])
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{", b"[1, 2]"],
+                         ids=["malformed", "not-utf8", "not-an-object"])
 def test_config_malformed_json_exits_2(tmp_path, capsys, content):
     path = tmp_path / "run.json"
     path.write_bytes(content)
@@ -269,6 +271,7 @@ def test_soliton_rejects_plane_wave_seed(capsys):
     ("-1,1,3,-1,1,1", "ny"),
     ("0,inf,3,-1,1,3", "x_max"),
     ("-1e308,1e308,3,-1,1,3", "x_max - x_min"),
+    ("-1,1,3", "--grid wants 6 comma-separated values"),
 ])
 def test_bad_grid_exits_2_and_names_the_field(tmp_path, capsys, grid, field):
     rc = main(["rogue", "--grid", grid, "--format", "csv",
@@ -338,6 +341,17 @@ def test_flag_that_no_chart_takes_exits_2(tmp_path, capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv,panel", [
+    (["soliton", "--profile", "quadratic"], "fig1b"),
+    (["soliton", "--profile", "sine"], "fig1d"),
+    (["positon", "--profile", "sine"], "fig1h"),
+])
+def test_profile_flag_replaces_only_the_profile(argv, panel):
+    s, want = family_scenario(argv), SCENARIOS[panel]
+    assert (s.background, s.charts, s.profile, s.grid) \
+        == (want.background, want.charts, want.profile, want.grid)
+
+
 def test_breather_h1_leaves_h2_alone():
     (chart,) = family_scenario(["breather", "--h1", "2,0"]).charts.charts
     assert chart.h1 == 2
@@ -392,7 +406,9 @@ def _grid_verify_points(field):
     spec = field.spec
     xs, ys = spec.xs(), spec.ys()
     cand = []
-    a = field.abs_q1
+    # np.abs, as cli._verify_points ranks nodes: FieldGrid.abs_q1 rounds as
+    # abs(complex) does, and a 1-ulp tie on fig3a's crest orders otherwise
+    a = np.abs(field.q1)
     for j in range(1, spec.ny - 1):
         for i in range(1, spec.nx - 1):
             if not field.mask[j, i]:

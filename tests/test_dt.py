@@ -38,7 +38,7 @@ LIN = DeformationProfile.LINEAR
 def point_jets(config, background, point):
     """Each chart's eigenfunction jets at one point, as the engine builds
     them: (phi1, phi2, phi3) arrays of shape (order + 1, 1)."""
-    return [eigen_jets(c, background, LIN, *_one_point(point))[0]
+    return [eigen_jets(c, background, LIN, *_one_point(point))
             for c in config.charts]
 
 
@@ -334,7 +334,7 @@ def test_singular_point_raises():
 def test_exponent_overflow_raises():
     chart = BreatherChart(0.5 + 0.5j, 1, 1, 1, 1 + 1j, 1 + 1j)
     cfg = DtConfig((chart,))
-    with pytest.raises(SingularPointError, match="exp argument real part"):
+    with pytest.raises(SingularPointError, match="exponential overflows"):
         evaluate_solution(SEED_B, cfg, DeformationProfile.CUBIC,
                           (0.0, -12.0, 2.0))
 
@@ -347,6 +347,21 @@ def test_exponent_overflow_raises():
 def test_spec_rejects_unknown_chart_kind_and_key(chart, match):
     spec = {"seed": "zero", "profile": "linear", "charts": [chart],
             "grid": {"x": [-1, 1, 3], "y": [-1, 1, 3]}}
+    with pytest.raises(ConfigError, match=match):
+        spec_from_json(spec)
+
+
+@pytest.mark.parametrize("edit,match", [
+    ({"profile": None}, r"run spec has the keys \[.*'profile'"),
+    ({"charts": {"kind": "zero", "lam": [1, 1]}}, "charts must be a list"),
+    ({"grid": [-1, 1, 3]}, "grid must be an object"),
+])
+def test_spec_rejects_a_missing_key_and_values_of_the_wrong_type(edit, match):
+    spec = {"seed": "zero", "profile": "linear",
+            "charts": [{"kind": "zero", "lam": [1, 1]}],
+            "grid": {"x": [-1, 1, 3], "y": [-1, 1, 3]}}
+    spec.update(edit)
+    spec = {k: v for k, v in spec.items() if v is not None}
     with pytest.raises(ConfigError, match=match):
         spec_from_json(spec)
 

@@ -237,6 +237,18 @@ def test_heatmap_masked_pixel_is_black(tmp_path):
     assert rows[0][0] != MASK_COLOR
 
 
+def test_heatmap_of_a_fully_masked_grid_is_black(tmp_path):
+    spec = GridSpec(0, 1, 0, 1, 3, 2)
+    q1 = np.full((2, 3), np.nan + 0j)
+    grid = FieldGrid(spec=spec, q1=q1, q2=q1.copy(),
+                     mask=np.ones((2, 3), dtype=bool))
+    path = str(tmp_path / "dark.png")
+    render_heatmap(grid, path)
+    width, height, rows = png_pixels(path)
+    assert (width, height) == (3, 2)
+    assert all(px == MASK_COLOR for row in rows for px in row)
+
+
 # -- evaluate_grid -----------------------------------------------------------
 
 
