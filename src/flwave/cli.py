@@ -386,7 +386,7 @@ def _verify_points(frame: GridSpec, q1) -> list:
     """Interior on-structure nodes, well separated, singular-free; q1
     holds the frame's interior nodes, y outer, NaN at gaps."""
     xs, ys = frame.xs()[1:-1], frame.ys()[1:-1]
-    a, gaps = np.abs(q1), np.isnan(q1)
+    a, gaps = np.hypot(q1.real, q1.imag), np.isnan(q1)
     cand = []
     for j, y in enumerate(ys):
         for i, x in enumerate(xs):

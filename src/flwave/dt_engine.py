@@ -34,7 +34,7 @@ from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, _number, background_field, grid_from_json,
                     profile_from_json, seed_from_json)
 from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, jet_div,
-                       jet_mul, scratch, series_mul, solve_stack, toeplitz)
+                       jet_mul, scratch, series_mul, solve_stack)
 from .spectral import (BreatherChart, RogueChart, SpectralChart,
                        ZeroSeedChart, breather_jets, critical_lambda,
                        rogue_jets, zero_seed_jets)
@@ -96,18 +96,16 @@ def _jet_power(chart: SpectralChart) -> int:
 @lru_cache(maxsize=None)
 def _power_jets(lam: complex, order: int, power: int, n_folds: int):
     """lambda^m as jets for m = -N..N, the exponents the column ladder
-    uses: row m + N of a (2N+1, order+1) array, and their Toeplitz rows."""
+    uses: row m + N of a (2N+1, order+1) array."""
     one = Jet.constant(1.0, order)
     lam_jet = Jet.variable(lam, order, power)
     pows = {0: one, 1: lam_jet}
     for m in range(2, n_folds + 1):
         pows[m] = jet_mul(pows[m - 1], lam_jet)
-    inv = jet_div(one, lam_jet)
-    pows[-1] = inv
+    pows[-1] = inv = jet_div(one, lam_jet)
     for m in range(-2, -n_folds - 1, -1):
         pows[m] = jet_mul(pows[m + 1], inv)
-    out = _frozen(*(pows[m] for m in range(-n_folds, n_folds + 1)))
-    return out, toeplitz(out)
+    return _frozen(*(pows[m] for m in range(-n_folds, n_folds + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -190,12 +188,12 @@ def _assemble(config: DtConfig, phis):
                   complex)
     at = 0
     for chart, k, (phi1, phi2, phi3) in zip(config.charts, ks, phis):
-        pows, rows = _power_jets(chart.lam, k - 1, _jet_power(chart), n)
+        pows = _power_jets(chart.lam, k - 1, _jet_power(chart), n)
         # lambda^m * phi_j for every m, each coefficient of which is one
         # derivative row's entry
         jets = [phi1, phi2] if phi3 is phi2 else [phi1, phi2, phi3]
         size = len(jets) * (2 * n + 1) * k
-        series_mul(rows, np.array(jets)[:, None], out=src[at:at + size]
+        series_mul(pows, np.array(jets)[:, None], out=src[at:at + size]
                    .reshape(len(jets), 2 * n + 1, k, width))
         at += size
         if phi3 is phi2:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -325,40 +326,41 @@ def _frozen(*jets) -> np.ndarray:
     return out
 
 
-def toeplitz(s: np.ndarray) -> np.ndarray:
-    """The Toeplitz rows of static jets s (..., K), read-only:
-    t[..., n, j] = s[..., n - j] for j <= n, else 0."""
-    n, j = np.indices(s.shape[-1:] * 2)
-    t = np.where(j <= n, s[..., np.maximum(n - j, 0)], 0)
-    t.flags.writeable = False
-    return t
+@lru_cache(maxsize=None)
+def _triangle(k: int):
+    """Read-only (d, j) with d + j < k, d outer: the products of static
+    and point coefficients that a Cauchy product of order k - 1 adds."""
+    i = np.arange(k)
+    d, j = np.nonzero(np.add.outer(i, i) < k)
+    d.flags.writeable = j.flags.writeable = False
+    return d, j
 
 
-def series_mul(t: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
-    """Cauchy products of static jets, given by their Toeplitz rows t
-    (..., K, K), with point jets phi (..., K, P), leading axes broadcast:
-    (..., K, P), into out when given.
+def series_mul(s: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
+    """Cauchy products of static jets s (..., K) with point jets phi
+    (..., K, P), leading axes broadcast: (..., K, P), into out when given.
 
-    Coefficient n adds t[n, j] * phi[j] for j = n down to 0, the order in
-    which jet_mul adds them.  Products above the diagonal are never added,
+    Only the K(K+1)/2 products s[d] * phi[j] with d + j < K are formed,
     so a non-finite high coefficient of phi cannot reach a lower one.
-    The products are formed for as many points at a time as
-    BLOCK_WORDS holds.
+    Coefficient n adds its products for d = 0 up to n, starting from 0,
+    as jet_mul does.  The products are formed for as many points at a
+    time as BLOCK_WORDS holds.
     """
     k, p = phi.shape[-2:]
-    rows, cols = t[..., None], phi[..., None, :, :]
-    shape = np.broadcast(rows, cols).shape
-    if out is None:
-        out = np.empty(shape[:-3] + shape[-2:], complex)
-    step = BLOCK_WORDS // (2 * math.prod(shape[:-1])) or 1
-    if p > step:
-        for s in range(0, p, step):
-            series_mul(t, phi[..., s:s + step], out[..., s:s + step])
-        return out
-    terms = cmul(rows, cols, scratch("series_mul", shape, complex))
-    out[...] = 0
-    for j in range(k - 1, -1, -1):
-        out[..., j:, :] += terms[..., j:, j, :]
+    ds, js = _triangle(k)
+    lead = np.broadcast(s[..., 0], phi[..., 0, 0]).shape
+    out = np.empty(lead + (k, p), complex) if out is None else out
+    sd = s.take(ds, axis=-1)[..., None]
+    step = BLOCK_WORDS // (2 * math.prod(lead) * len(ds)) or 1
+    for at in range(0, p, step):
+        cols = phi[..., at:at + step].take(js, axis=-2)
+        terms = cmul(sd, cols, scratch(
+            "series_mul", lead + cols.shape[-2:], complex))
+        # d = 0 starts each sum at 0 + x, as jet_mul's (-0 becomes +0)
+        o = np.add(terms[..., :k, :], 0, out=out[..., at:at + step])
+        for d in range(1, k):
+            first = d * k - d * (d - 1) // 2
+            o[..., d:, :] += terms[..., first:first + k - d, :]
     return out
 
 

@@ -29,7 +29,7 @@ from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     profile_eval)
 from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, cmul,
                        jet_div, jet_mul, jet_sqrt_even, polar, rmul, scratch,
-                       series_exp, series_mul, toeplitz)
+                       series_exp, series_mul)
 
 # relative tolerance deciding whether S(lambda) counts as zero: the critical
 # lambda is only float-accurate, so S lands near 1e-16 * scale, never at 0
@@ -195,9 +195,11 @@ def _one_point(point) -> tuple:
     return tuple(np.array([float(v)]) for v in point)
 
 
-def _one_triple(phis, point) -> EigenTriple:
-    """The EigenTriple of a one-point build; SingularPointError where it
-    is not finite."""
+def _one_triple(build, args, point, jet_order) -> EigenTriple:
+    """The EigenTriple of build(*args, x, y, t, jet_order) at one point,
+    built with warnings off; SingularPointError where it is not finite."""
+    with np.errstate(all="ignore"):
+        phis = build(*args, *_one_point(point), jet_order)
     if not all(np.isfinite(phi).all() for phi in phis):
         raise SingularPointError(
             f"{GAP_REASONS[NON_FINITE]} at point {point!r}")
@@ -228,8 +230,7 @@ def zero_seed_jets(chart: ZeroSeedChart, profile: DeformationProfile,
 
 def zero_seed_eigenfunction(chart: ZeroSeedChart, profile: DeformationProfile,
                             point, jet_order: int) -> EigenTriple:
-    return _one_triple(zero_seed_jets(chart, profile, *_one_point(point),
-                                      jet_order), point)
+    return _one_triple(zero_seed_jets, (chart, profile), point, jet_order)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +267,8 @@ def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed, order: int):
     cy2 = 1j * beta2 - h_over
     cx3 = 0.5j * a1 - 0.5 * H
     cy3 = 1j * beta3 + h_over
-    # the W rows, the three exponents' cx, cy and ch, and their weights
-    return (toeplitz(_frozen(w12, w13)), _frozen(cx1, cx2, cx3),
+    # the W jets, the three exponents' cx, cy and ch, and their weights
+    return (_frozen(w12, w13), _frozen(cx1, cx2, cx3),
             _frozen(cy1, cy2, cy3),
             _frozen(1j * chart.h1, -1j * chart.h2, -1j * chart.h1),
             _frozen(chart.l1, chart.l2, chart.l3)[:, None, None])
@@ -275,11 +276,11 @@ def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed, order: int):
 
 def breather_jets(chart: BreatherChart, seed: PlaneWaveSeed,
                   profile: DeformationProfile, x, y, t, jet_order: int):
-    w_rows, cx, cy, ch, weights = _breather_static(chart, seed, jet_order)
+    w, cx, cy, ch, weights = _breather_static(chart, seed, jet_order)
     f = profile_eval(profile, y + t)
     e = rmul(series_exp(_exponent(cx, cy, ch, x, y, f)), weights)
     e1, e2, e3 = e
-    w_e2, w_e3 = series_mul(w_rows, e[1:])
+    w_e2, w_e3 = series_mul(w, e[1:])
     psi1 = w_e2 + w_e3
     th1, th2 = seed.theta(x, y, t)
     # with l1 = 0 and equal phases the last two components coincide
@@ -295,8 +296,8 @@ def breather_jets(chart: BreatherChart, seed: PlaneWaveSeed,
 def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
                            profile: DeformationProfile, point,
                            jet_order: int) -> EigenTriple:
-    return _one_triple(breather_jets(chart, seed, profile,
-                                     *_one_point(point), jet_order), point)
+    return _one_triple(breather_jets, (chart, seed, profile), point,
+                       jet_order)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +338,12 @@ def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, jet_order: int):
     k_xy = half
     k_t = jet_mul(half, R)
     k_shift = jet_mul(half, delta_jet)
-    return (*_frozen(k_xy, k_t, k_shift), toeplitz(_frozen(c_minus, c_plus)))
+    return (*_frozen(k_xy, k_t, k_shift), _frozen(c_minus, c_plus))
 
 
 def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
                jet_order: int):
-    k_xy, k_t, k_shift, c_rows = _rogue_static(chart, seed, jet_order)
+    k_xy, k_t, k_shift, c = _rogue_static(chart, seed, jet_order)
     w = np.empty(len(x), complex)
     w.real, w.imag = x, y
     A = (cmul(k_xy[:, None], w) + rmul(k_t[:, None], t)) + k_shift[:, None]
@@ -352,7 +353,7 @@ def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
     # has none), so dividing by eps drops them
     keep = slice(1, jet_order + 2)
     bracket1 = (eA - emA)[keep]
-    c_eA, c_emA = series_mul(c_rows, e,
+    c_eA, c_emA = series_mul(c, e,
                              scratch("rogue_series", e.shape, complex))
     bracket2 = (c_eA - c_emA)[keep]
     th1, _ = seed.theta(x, y, t)
@@ -365,8 +366,7 @@ def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
 
 def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
                             jet_order: int) -> EigenTriple:
-    return _one_triple(rogue_jets(chart, seed, *_one_point(point),
-                                  jet_order), point)
+    return _one_triple(rogue_jets, (chart, seed), point, jet_order)
 
 
 def _check_even_parity(phi1: np.ndarray, phi23: np.ndarray):

@@ -5,6 +5,7 @@ the list-based jet arithmetic, and the callers batch their points."""
 import dataclasses
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,7 @@ from flwave.cli import SCENARIOS
 from flwave.dt_engine import chunk_points, evaluate_points
 from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, ZERO_PIVOT, Jet,
                              _equilibrate, _lapack_solve, _residual,
-                             _split, jet_mul, series_mul, solve_stack,
-                             toeplitz)
+                             _split, jet_mul, series_mul, solve_stack)
 from flwave.verify import _sample_many
 
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
@@ -180,8 +180,10 @@ def test_exp_finite_near_the_double_limit_is_a_value():
     with pytest.raises(SingularPointError, match="non-finite"):
         dt_engine.evaluate_solution(s.background, s.charts, s.profile,
                                     points[2])
-    with np.errstate(all="ignore"), \
+    # the one-point face is as silent as evaluate_solution
+    with warnings.catch_warnings(), \
             pytest.raises(SingularPointError, match="non-finite"):
+        warnings.simplefilter("error")
         zero_seed_eigenfunction(s.charts.charts[0], s.profile,
                                 (400.0, 0.0, 0.0), 0)
 
@@ -354,18 +356,36 @@ def test_residual_is_twice_working_precision_then_rounded():
 
 
 def test_series_mul_rounds_as_jet_mul_does():
+    # the assembly's shapes, 2N + 1 = 7 static jets against (J, 1, K, P)
+    # point jets, up to K = 7 (an N = 3 rogue chart's internal order) and
+    # with enough points there to take two blocks; the last two point
+    # jets end in inf and NaN, which no lower coefficient may see
     rng = random.Random(13)
-    for order in (0, 2, 5):
-        s = [Jet([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                  for _ in range(order + 1)]) for _ in range(3)]
-        phi = [Jet([complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
-                    for _ in range(order + 1)]) for _ in range(4)]
-        rows = toeplitz(np.array([j.coeffs for j in s]))
-        cols = np.array([j.coeffs for j in phi]).T
-        got = series_mul(rows, cols)
-        for i, si in enumerate(s):
-            for k, pk in enumerate(phi):
-                assert got[i, :, k].tolist() == list(jet_mul(si, pk).coeffs)
+
+    def jets(count, order, size):
+        return [Jet([complex(rng.uniform(-size, size),
+                             rng.uniform(-size, size))
+                     for _ in range(order + 1)]) for _ in range(count)]
+
+    for order, points in ((0, 4), (2, 4), (5, 4), (6, 50)):
+        s = jets(7, order, 1)
+        phi = [jets(points, order, 9) for _ in range(2)]
+        cols = np.array([[pk.coeffs for pk in row] for row in phi])
+        if order:
+            cols[:, -2:, -1] = complex(math.inf, 0), complex(math.nan, 1)
+        got = series_mul(np.array([si.coeffs for si in s]),
+                         cols.transpose(0, 2, 1)[:, None])
+        assert got.shape == (2, 7, order + 1, points)
+        for a, row in enumerate(phi):
+            for i, si in enumerate(s):
+                for k, pk in enumerate(row):
+                    want = list(jet_mul(si, pk).coeffs)
+                    if order and k >= points - 2:
+                        want, got_k = want[:-1], got[a, i, :-1, k]
+                        assert np.isfinite(got_k).all()
+                    else:
+                        got_k = got[a, i, :, k]
+                    assert got_k.tolist() == want
 
 
 # -- the callers batch their points -------------------------------------------

@@ -406,9 +406,7 @@ def _grid_verify_points(field):
     spec = field.spec
     xs, ys = spec.xs(), spec.ys()
     cand = []
-    # np.abs, as cli._verify_points ranks nodes: FieldGrid.abs_q1 rounds as
-    # abs(complex) does, and a 1-ulp tie on fig3a's crest orders otherwise
-    a = np.abs(field.q1)
+    a = field.abs_q1
     for j in range(1, spec.ny - 1):
         for i in range(1, spec.nx - 1):
             if not field.mask[j, i]:

@@ -325,7 +325,7 @@ def test_cached_statics_are_read_only():
     for s in SCENARIOS.values():
         for chart in s.charts.charts:
             order = _jet_power(chart) * chart.multiplicity
-            arrays.extend(_power_jets(chart.lam, order, _jet_power(chart),
+            arrays.append(_power_jets(chart.lam, order, _jet_power(chart),
                                      s.charts.folds))
             if isinstance(chart, ZeroSeedChart):
                 arrays.extend(_zero_seed_static(chart, order))
