@@ -36,8 +36,7 @@ from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
 from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, jet_div,
                        jet_mul, scratch, series_mul, solve_stack)
 from .spectral import (BreatherChart, RogueChart, SpectralChart,
-                       ZeroSeedChart, breather_jets, critical_lambda,
-                       rogue_jets, zero_seed_jets)
+                       ZeroSeedChart, chart_jets, critical_lambda)
 
 # fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
 MAX_FOLDS = 4
@@ -67,12 +66,14 @@ class DtConfig:
         for i in range(len(charts)):
             for j in range(i + 1, len(charts)):
                 li, lj = charts[i].lam, charts[j].lam
-                # each modulus is finite, but their distance may not be
-                d = li - lj
-                if math.hypot(d.real, d.imag) \
-                        <= 1e-12 * max(1.0, abs(li), abs(lj)):
-                    raise ConfigError(
-                        f"charts {i} and {j} share lambda = {li!r}")
+                tol = 1e-12 * max(1.0, abs(li), abs(lj))
+                # each modulus is finite, but their distance may not be;
+                # by U(-lambda) = sigma U(lambda) sigma, a chart at -lambda
+                # repeats the rows of one at lambda up to sign
+                for d, how in ((li - lj, "equal"), (li + lj, "opposite")):
+                    if math.hypot(d.real, d.imag) <= tol:
+                        raise ConfigError(f"charts {i} and {j} have {how} "
+                                          f"lambdas {li!r} and {lj!r}")
 
     @property
     def folds(self) -> int:
@@ -300,18 +301,6 @@ def _chart_from_json(i: int, chart, background: SeedBackground):
     return CHART_KINDS[kind](**values)
 
 
-def eigen_jets(chart: SpectralChart, background: SeedBackground,
-               profile: DeformationProfile, x, y, t):
-    """The chart's eigenfunction jets at many points, of the order its
-    derivative rows need."""
-    order = _jet_power(chart) * chart.multiplicity
-    if isinstance(chart, ZeroSeedChart):
-        return zero_seed_jets(chart, profile, x, y, t, order)
-    if isinstance(chart, BreatherChart):
-        return breather_jets(chart, background, profile, x, y, t, order)
-    return rogue_jets(chart, background, x, y, t, order)
-
-
 def chunk_points(config: DtConfig) -> int:
     """Points per evaluation chunk of the transformation: as many as
     CHUNK_ENTRIES entries of Omega_1 hold."""
@@ -321,7 +310,8 @@ def chunk_points(config: DtConfig) -> int:
 def _evaluate_chunk(background, config, profile, x, y, t):
     """(q1, q2, why) at up to chunk_points(config) points given as
     contiguous arrays."""
-    phis = [eigen_jets(chart, background, profile, x, y, t)
+    phis = [chart_jets(chart, background, profile, x, y, t,
+                       _jet_power(chart) * chart.multiplicity)
             for chart in config.charts]
     z, why = solve_stack(*_assemble(config, phis))
     q1b, q2b = background_field(background, (x, y, t))

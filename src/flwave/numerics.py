@@ -250,7 +250,7 @@ BLOCK_WORDS = 32768
 # is done before its residuals
 _SHARED = {"equilibrate": "assembly", "neg": "assembly",
            "neg_hi": "series_mul", "neg_lo": "cmul_tmp",
-           "res_errs": "rogue_series", "stack0": "cmul"}
+           "res_errs": "products", "stack0": "cmul"}
 
 
 def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:

@@ -1,19 +1,11 @@
-"""Spectral charts and Lax-pair eigenfunction builders.
+"""Spectral charts and their Lax-pair eigenfunctions.
 
 A chart is one spectral parameter with its multiplicity and the seed-kind
-payload (deformation constants, superposition constants, shift controls).
-Builders return eigenfunction triples as jets in the perturbation of the
-spectral parameter (lambda + eps for plain charts, lambda + eps^2 for the
-degenerate rogue charts), so derivative columns for the generalized
-transformation fall out of the same code path as plain evaluation.
-
-The `*_jets` builders take the coordinates of many points as float
-arrays and return the three components as complex arrays of shape
-(order + 1, P), the third being the second object itself where the two
-are equal by construction.  Only the exponents vary per point: the rest
-is a per-chart static jet, cached, and the chart's checks against its
-seed run as it is built.  The `*_eigenfunction` builders are their
-one-point faces.
+payload.  Each kind's eigenfunction is a sum of exponentials, as jets in
+the perturbation of lambda (lambda + eps, or lambda + eps^2 for the
+degenerate rogue charts): a cached ChartForm holds its static jets,
+checked against the seed as it is built, and chart_jets evaluates any
+form at many points; the `*_eigenfunction` functions at one point.
 """
 from __future__ import annotations
 
@@ -26,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, SingularPointError
 from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
-                    profile_eval)
+                    ZeroBackground, profile_eval)
 from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, cmul,
                        jet_div, jet_mul, jet_sqrt_even, polar, rmul, scratch,
                        series_exp, series_mul)
@@ -173,33 +165,88 @@ def rogue_R(lam, seed: PlaneWaveSeed):
 
 
 # ---------------------------------------------------------------------------
-# shared pieces of the array builders
+# the chart form: every eigenfunction is a sum of exponentials
 # ---------------------------------------------------------------------------
 
 
-def _exponent(cx, cy, ch, x, y, f) -> np.ndarray:
-    """cx*x + cy*y + ch*f(y+t) for static jets cx, cy (..., K), constants
-    ch (...) and per-point x, y, f: (..., K, P), rounded as the same Jet
-    expression is."""
-    re = cx.real[..., None] * x + cy.real[..., None] * y
-    im = cx.imag[..., None] * x + cy.imag[..., None] * y
-    re[..., 0, :] += np.multiply.outer(np.real(ch), f)
-    im[..., 0, :] += np.multiply.outer(np.imag(ch), f)
-    e = np.empty(re.shape, complex)
-    e.real = re
-    e.imag = im
-    return e
+@dataclass(frozen=True, eq=False)
+class ChartForm:
+    """The static part of a chart's eigenfunction jets, which chart_jets
+    evaluates; a term a kind lacks is None."""
+
+    exponent: tuple  # (n, K, 1) jets cx, cy, ct, c0 of x, y, t and 1
+    rows: tuple  # one per component: its (sign, k) terms
+    ch: np.ndarray | None = None  # (n, 1): f(y+t) on coefficient 0
+    negate: bool = False  # -theta_k follow theta_k
+    weights: np.ndarray | None = None  # real, (n, 1, 1)
+    statics: np.ndarray | None = None  # multiply the last exponentials
+    phases: tuple | None = None  # a_j, b_j, c_j, m: (n or 1, 1, 1)
+    shift: int = 0  # the eps^-shift prefactor
+    even: bool = False  # odd coefficients vanish in exact arithmetic
+
+
+def chart_jets(chart: SpectralChart, background: SeedBackground,
+               profile: DeformationProfile, x, y, t, jet_order: int):
+    """The chart's eigenfunction jets (phi1, phi2, phi3) of order jet_order
+    at the points x, y, t: complex arrays (jet_order + 1, P).
+
+    The terms are exp(theta_k), theta_k = cx_k x + cy_k y [+ ct_k t + c0_k]
+    [+ ch_k f(y+t)], times the weights, and the statics' products with
+    the last of them.  Each row adds its terms left to right; the last
+    len(m) take exp(i m theta_j), theta_j = a_j x + b_j y + c_j t.  A
+    form of two rows returns phi2 itself as phi3: the chart is paired.
+    """
+    form = FORMS[type(chart)](chart, background, jet_order)
+    cx, *others = form.exponent
+    re, im = cx.real * x, cx.imag * x
+    # a term a form lacks is not added: adding 0 can flip a signed zero
+    for c, v in zip(others, (y, t, 1.0)):
+        if c is not None:
+            re += c.real * v
+            im += c.imag * v
+    if form.ch is not None:
+        f = profile_eval(profile, y + t)
+        re[:, 0] += form.ch.real * f
+        im[:, 0] += form.ch.imag * f
+    theta = np.empty(re.shape, complex)
+    theta.real, theta.imag = re, im
+    if form.negate:
+        theta = np.concatenate([theta, -theta])
+    e = series_exp(theta)
+    if form.weights is not None:
+        e = rmul(e, form.weights)
+    terms = list(e)
+    if form.statics is not None:
+        tail = e[len(e) - len(form.statics):]
+        terms += list(series_mul(form.statics, tail,
+                                 scratch("products", tail.shape, complex)))
+    if form.shift:
+        terms = [s[form.shift:form.shift + jet_order + 1] for s in terms]
+    rows = []
+    for (sign, k), *rest in form.rows:
+        acc = terms[k] if sign > 0 else -terms[k]
+        for sign, k in rest:
+            acc = acc + terms[k] if sign > 0 else acc - terms[k]
+        rows.append(acc)
+    if form.phases is not None:
+        a, b, c, m = form.phases
+        rows[-len(m):] = cmul(np.array(rows[-len(m):]),
+                              polar(1.0, m * (a * x + b * y + c * t)))
+    if form.even:
+        _check_even_parity(rows)
+    return rows[0], rows[1], rows[-1]
 
 
 def _one_point(point) -> tuple:
     return tuple(np.array([float(v)]) for v in point)
 
 
-def _one_triple(build, args, point, jet_order) -> EigenTriple:
-    """The EigenTriple of build(*args, x, y, t, jet_order) at one point,
-    built with warnings off; SingularPointError where it is not finite."""
+def _one_triple(chart, background, profile, point, jet_order) -> EigenTriple:
+    """The chart's EigenTriple at one point, built with warnings off;
+    SingularPointError where it is not finite."""
     with np.errstate(all="ignore"):
-        phis = build(*args, *_one_point(point), jet_order)
+        phis = chart_jets(chart, background, profile, *_one_point(point),
+                          jet_order)
     if not all(np.isfinite(phi).all() for phi in phis):
         raise SingularPointError(
             f"{GAP_REASONS[NON_FINITE]} at point {point!r}")
@@ -207,39 +254,30 @@ def _one_triple(build, args, point, jet_order) -> EigenTriple:
 
 
 # ---------------------------------------------------------------------------
-# zero-seed eigenfunctions (solitons, positons)
+# the forms of the three kinds: zero-seed charts (solitons, positons),
+# breathers on the plane wave, and rogue waves at a root of S
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _zero_seed_static(chart: ZeroSeedChart, order: int):
+def _zero_seed_static(chart: ZeroSeedChart, seed, order: int) -> ChartForm:
     lam = Jet.variable(chart.lam, order)
     lam2 = jet_mul(lam, lam)
     inv4l2 = jet_div(Jet.constant(1.0, order), 4 * lam2)
-    return _frozen(-1j * lam2, 1j * (inv4l2 - 1))
-
-
-def zero_seed_jets(chart: ZeroSeedChart, profile: DeformationProfile,
-                   x, y, t, jet_order: int):
-    cx, cy = _zero_seed_static(chart, jet_order)
-    exponent = _exponent(cx, cy, 1j * chart.h1, x, y,
-                         profile_eval(profile, y + t))
-    phi1, phi23 = series_exp(np.array([exponent, -exponent]))
-    return phi1, phi23, phi23
+    cx, cy = _frozen(-1j * lam2, 1j * (inv4l2 - 1))[:, None, :, None]
+    # phi1 = exp(theta), phi2 = phi3 = exp(-theta)
+    return ChartForm((cx, cy, None, None), (((1, 0),), ((1, 1),)),
+                     ch=_frozen([1j * chart.h1]), negate=True)
 
 
 def zero_seed_eigenfunction(chart: ZeroSeedChart, profile: DeformationProfile,
                             point, jet_order: int) -> EigenTriple:
-    return _one_triple(zero_seed_jets, (chart, profile), point, jet_order)
-
-
-# ---------------------------------------------------------------------------
-# breather eigenfunctions on the plane wave
-# ---------------------------------------------------------------------------
+    return _one_triple(chart, ZeroBackground(), profile, point, jet_order)
 
 
 @lru_cache(maxsize=None)
-def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed, order: int):
+def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed,
+                     order: int) -> ChartForm:
     if not seed.symmetric:
         raise ConfigError(
             "breather eigenfunctions need a1 == a2 and d1 == d2")
@@ -251,62 +289,42 @@ def _breather_static(chart: BreatherChart, seed: PlaneWaveSeed, order: int):
     lam2 = jet_mul(lam, lam)
     S = discriminant_S(lam, a1, d1)
     H = jet_sqrt_even(S)
-    one = Jet.constant(1.0, order)
     w12 = jet_div(2j * a1 * d1 * lam, (1j * a1 + H) * 0.5 + 1j * lam2)
     w13 = jet_div(2j * a1 * d1 * lam, (1j * a1 - H) * 0.5 + 1j * lam2)
-    inv4l2 = jet_div(one, 4 * lam2)
+    inv4l2 = jet_div(Jet.constant(1.0, order), 4 * lam2)
     h_over = jet_div(H, 4 * a1 * lam2)
     beta1 = 2 * d1 * d1 + 1 / a1 + 1 + inv4l2
     beta2 = d1 * d1 + 1 / (2 * a1) + seed.b1 - seed.c1 + 1
     beta3 = d1 * d1 + 1 / (2 * a1) + seed.b2 - seed.c2 + 1
-    # exponent = cx*x + cy*y + ch*f(y+t); the +H/-H halves pair with the
-    # W columns built from the same branch
-    cx1 = 1j * (a1 + lam2)
-    cy1 = -1j * beta1
-    cx2 = 0.5j * a1 + 0.5 * H
-    cy2 = 1j * beta2 - h_over
-    cx3 = 0.5j * a1 - 0.5 * H
-    cy3 = 1j * beta3 + h_over
-    # the W jets, the three exponents' cx, cy and ch, and their weights
-    return (_frozen(w12, w13), _frozen(cx1, cx2, cx3),
-            _frozen(cy1, cy2, cy3),
-            _frozen(1j * chart.h1, -1j * chart.h2, -1j * chart.h1),
-            _frozen(chart.l1, chart.l2, chart.l3)[:, None, None])
-
-
-def breather_jets(chart: BreatherChart, seed: PlaneWaveSeed,
-                  profile: DeformationProfile, x, y, t, jet_order: int):
-    w, cx, cy, ch, weights = _breather_static(chart, seed, jet_order)
-    f = profile_eval(profile, y + t)
-    e = rmul(series_exp(_exponent(cx, cy, ch, x, y, f)), weights)
-    e1, e2, e3 = e
-    w_e2, w_e3 = series_mul(w, e[1:])
-    psi1 = w_e2 + w_e3
-    th1, th2 = seed.theta(x, y, t)
-    # with l1 = 0 and equal phases the last two components coincide
-    if chart.l1 == 0 and (seed.a1, seed.b1, seed.c1) \
-            == (seed.a2, seed.b2, seed.c2):
-        psi2 = cmul(-e1 + e2 + e3, polar(1.0, -th1))
-        return psi1, psi2, psi2
-    psi2, psi3 = cmul(np.array([-e1 + e2 + e3, e1 + e2 + e3]),
-                      polar(1.0, -np.array([th1, th2]))[:, None])
-    return psi1, psi2, psi3
+    # exponentials e1, e2, e3; the +H/-H halves pair with the W jets
+    # built from the same branch, which multiply e2 and e3
+    cx = _frozen(1j * (a1 + lam2), 0.5j * a1 + 0.5 * H, 0.5j * a1 - 0.5 * H)
+    cy = _frozen(-1j * beta1, 1j * beta2 - h_over, 1j * beta3 + h_over)
+    # psi1 = W12 e2 + W13 e3, psi2 = (-e1 + e2 + e3) exp(-i theta1) and
+    # psi3 = (e1 + e2 + e3) exp(-i theta2), which is psi2 where l1 = 0
+    # and the two phases agree
+    rows = (((1, 3), (1, 4)), ((-1, 0), (1, 1), (1, 2)),
+            ((1, 0), (1, 1), (1, 2)))
+    phases = _frozen((seed.a1, seed.b1, seed.c1, -1.0),
+                     (seed.a2, seed.b2, seed.c2, -1.0))
+    n = 1 if chart.l1 == 0 and (phases[0] == phases[1]).all() else 2
+    return ChartForm(
+        (cx[..., None], cy[..., None], None, None), rows[:1 + n],
+        ch=_frozen([1j * chart.h1], [-1j * chart.h2], [-1j * chart.h1]),
+        weights=_frozen(chart.l1, chart.l2, chart.l3)[:, None, None],
+        statics=_frozen(w12, w13),
+        phases=tuple(phases[:n].T[..., None, None]))
 
 
 def breather_eigenfunction(chart: BreatherChart, seed: PlaneWaveSeed,
                            profile: DeformationProfile, point,
                            jet_order: int) -> EigenTriple:
-    return _one_triple(breather_jets, (chart, seed, profile), point,
-                       jet_order)
-
-
-# ---------------------------------------------------------------------------
-# rogue eigenfunctions at the degenerate spectral parameter
-# ---------------------------------------------------------------------------
+    return _one_triple(chart, seed, profile, point, jet_order)
 
 
 @lru_cache(maxsize=None)
-def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, jet_order: int):
+def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed,
+                  jet_order: int) -> ChartForm:
     if not seed.symmetric or seed.b1 != seed.b2:
         raise ConfigError(
             "rogue eigenfunctions need a1 == a2, d1 == d2 and b1 == b2")
@@ -335,48 +353,34 @@ def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed, jet_order: int):
     half = 0.5 * sqS
     c_minus = jet_div(2 * lam2 + a1 - 1j * sqS, 4 * a1 * d1 * lam)
     c_plus = jet_div(2 * lam2 + a1 + 1j * sqS, 4 * a1 * d1 * lam)
-    k_xy = half
-    k_t = jet_mul(half, R)
-    k_shift = jet_mul(half, delta_jet)
-    return (*_frozen(k_xy, k_t, k_shift), _frozen(c_minus, c_plus))
-
-
-def rogue_jets(chart: RogueChart, seed: PlaneWaveSeed, x, y, t,
-               jet_order: int):
-    k_xy, k_t, k_shift, c = _rogue_static(chart, seed, jet_order)
-    w = np.empty(len(x), complex)
-    w.real, w.imag = x, y
-    A = (cmul(k_xy[:, None], w) + rmul(k_t[:, None], t)) + k_shift[:, None]
-    e = series_exp(np.array([A, -A]))
-    eA, emA = e
-    # the eps^0 coefficients of both brackets are exactly zero (sqrt(S)
-    # has none), so dividing by eps drops them
-    keep = slice(1, jet_order + 2)
-    bracket1 = (eA - emA)[keep]
-    c_eA, c_emA = series_mul(c, e,
-                             scratch("rogue_series", e.shape, complex))
-    bracket2 = (c_eA - c_emA)[keep]
-    th1, _ = seed.theta(x, y, t)
-    phase = polar(1.0, 0.5 * th1)
-    phi1 = cmul(bracket1, phase)
-    phi23 = cmul(bracket2, phase.conj())
-    _check_even_parity(phi1, phi23)
-    return phi1, phi23, phi23
+    # A = half (x + iy + R t + delta), then -A: phi1 = (e^A - e^-A)
+    # e^(i theta1/2) / eps and phi2 = phi3 = (c- e^A - c+ e^-A)
+    # e^(-i theta1/2) / eps, whose eps^0 coefficients are exactly zero
+    # (sqrt(S) has none); i half is formed part by part, so that its parts
+    # are exactly -half.imag and half.real
+    i_half = [complex(-c.imag, c.real) for c in half.coeffs]
+    exponent = _frozen(half, i_half, jet_mul(half, R),
+                       jet_mul(half, delta_jet))[:, None, :, None]
+    # both phases are of theta1, which is formed once
+    abc = _frozen(a1, seed.b1, seed.c1)[:, None, None, None]
+    return ChartForm(tuple(exponent), (((1, 0), (-1, 1)), ((1, 2), (-1, 3))),
+                     negate=True, statics=_frozen(c_minus, c_plus),
+                     phases=(*abc, _frozen(0.5, -0.5)[:, None, None]),
+                     shift=1, even=True)
 
 
 def rogue_eigenfunction_jet(chart: RogueChart, seed: PlaneWaveSeed, point,
                             jet_order: int) -> EigenTriple:
-    return _one_triple(rogue_jets, (chart, seed), point, jet_order)
+    # rogue exponents have no f(y+t) term: no profile is read
+    return _one_triple(chart, seed, None, point, jet_order)
 
 
-def _check_even_parity(phi1: np.ndarray, phi23: np.ndarray):
-    """Odd-order coefficients vanish in exact arithmetic; where a finite
-    point's reach EVEN_PARITY_RTOL of its largest, the expansion broke."""
-    mags = np.abs(np.concatenate([phi1, phi23]))
-    scale = np.maximum.reduce(mags)
-    worst = np.maximum.reduce(np.concatenate([mags[1:len(phi1):2],
-                                              mags[len(phi1) + 1::2],
-                                              np.zeros_like(mags[:1])]))
+def _check_even_parity(rows):
+    """NumericError where a finite point's odd-order coefficients, which
+    vanish in exact arithmetic, reach EVEN_PARITY_RTOL of its largest."""
+    mags = np.abs(rows)
+    scale = np.maximum.reduce(mags, axis=(0, 1))
+    worst = np.maximum.reduce(mags[:, 1::2], axis=(0, 1), initial=0.0)
     # a non-finite scale compares false: that point is a gap, not a break
     bad = worst > EVEN_PARITY_RTOL * scale
     if bad.any():
@@ -384,3 +388,8 @@ def _check_even_parity(phi1: np.ndarray, phi23: np.ndarray):
         raise NumericError(
             f"odd-order coefficients reach {worst[k]:.3e} relative to "
             f"{scale[k]:.3e}; the eps-expansion lost its even parity")
+
+
+# each kind's cached form, (chart, background, jet order) -> ChartForm
+FORMS = {ZeroSeedChart: _zero_seed_static, BreatherChart: _breather_static,
+         RogueChart: _rogue_static}

@@ -11,7 +11,7 @@ import pytest
 
 from flwave import GridSpec, dt_engine, pde_residual, solution_sampler
 from flwave.cli import SCENARIOS
-from flwave.spectral import _one_point
+from flwave.spectral import _one_point, chart_jets
 
 ORACLE_DIGITS = 50
 RATIO_RTOL = 1e-12
@@ -31,8 +31,8 @@ RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 def _system(s, point):
     """Omega_1 and r at one point, as the engine assembles them."""
-    phis = [dt_engine.eigen_jets(c, s.background, s.profile,
-                                 *_one_point(point))
+    phis = [chart_jets(c, s.background, s.profile, *_one_point(point),
+                       dt_engine._jet_power(c) * c.multiplicity)
             for c in s.charts.charts]
     omega1, r = dt_engine._assemble(s.charts, phis)
     return omega1[0], r[0]

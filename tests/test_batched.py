@@ -220,11 +220,11 @@ def test_breather_far_field_is_masked_or_bounded(name):
     assert (grid.abs_q1[~grid.mask] <= 3 * s.background.d1).all()
 
 
-# unmasked far-field spikes past the bound (ROADMAP item 5): fig5c
+# unmasked far-field spikes past the bound (ROADMAP item 9): fig5c
 # reaches 13.8 d, fig6d and fig6e 28.1 d, fig6f 4.2e31 d
 FAR_FIELD_SPIKES = pytest.mark.xfail(
     strict=True, reason="unmasked far-field spikes past (2N+1) d, "
-    "ROADMAP item 5")
+    "ROADMAP item 9")
 PLANE_WAVE_MULTI = [
     pytest.param(name, marks=FAR_FIELD_SPIKES)
     if name in ("fig5c", "fig6d", "fig6e", "fig6f") else name

@@ -24,10 +24,10 @@ from flwave import (
     plane_wave_field,
     solution_sampler,
 )
-from flwave.dt_engine import _assemble, eigen_jets, spec_from_json
+from flwave.dt_engine import _assemble, _jet_power, spec_from_json
 from flwave.errors import ConfigError, SingularPointError
 from flwave.numerics import solve_stack
-from flwave.spectral import _one_point
+from flwave.spectral import _one_point, chart_jets
 
 SEED_B = PlaneWaveSeed(-1, -1, -1, -2, 1, 1)
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
@@ -38,7 +38,8 @@ LIN = DeformationProfile.LINEAR
 def point_jets(config, background, point):
     """Each chart's eigenfunction jets at one point, as the engine builds
     them: (phi1, phi2, phi3) arrays of shape (order + 1, 1)."""
-    return [eigen_jets(c, background, LIN, *_one_point(point))
+    return [chart_jets(c, background, LIN, *_one_point(point),
+                       _jet_power(c) * c.multiplicity)
             for c in config.charts]
 
 
@@ -138,6 +139,20 @@ def test_gauge_invariance_of_determinant_ratio():
 def test_config_rejects_duplicate_lambda():
     with pytest.raises(ConfigError):
         DtConfig((ZeroSeedChart(1 + 1j), ZeroSeedChart(1 + 1j)))
+
+
+@pytest.mark.parametrize("charts", [
+    (ZeroSeedChart(1 + 1j), ZeroSeedChart(-1 - 1j)),
+    (BreatherChart(0.5 + 0.5j), BreatherChart(-0.5 - 0.5j)),
+    (RogueChart(LAM_CRIT), ZeroSeedChart(2j), RogueChart(-LAM_CRIT)),
+])
+def test_config_rejects_opposite_lambdas(charts):
+    # rows at -lambda are +- the rows at lambda: Omega_1 is singular, and
+    # a grid of such charts read ZERO_PIVOT gaps and noise as values
+    j = len(charts) - 1
+    with pytest.raises(ConfigError, match=f"charts 0 and {j} have opposite"):
+        DtConfig(charts)
+    DtConfig((charts[0], type(charts[-1])(-charts[0].lam * (1 + 1e-9))))
 
 
 def test_config_compares_lambdas_whose_distance_overflows():

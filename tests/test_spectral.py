@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from flwave import (
@@ -26,7 +27,9 @@ from flwave import (
 from flwave.cli import SCENARIOS
 from flwave.dt_engine import _jet_power, _power_jets
 from flwave.numerics import jet_mul, jet_sqrt_even
-from flwave.spectral import _breather_static, _rogue_static, _zero_seed_static
+from flwave.errors import NumericError
+from flwave.spectral import (FORMS, _check_even_parity, _one_point,
+                             chart_jets)
 
 SEED_B = PlaneWaveSeed(-1, -1, -1, -2, 1, 1)
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
@@ -310,6 +313,19 @@ def test_rogue_zero_shifts_match_shift_free():
             < 1e-12 * scale
 
 
+def test_even_parity_check_flags_only_finite_breaks():
+    rows = np.zeros((2, 3, 3), complex)
+    rows[:, 0] = 1.0
+    rows[1, 1] = [1e-11, 1e-9, np.nan]  # below, above, at a gap
+    rows[0, 2, 2] = np.nan
+    with pytest.raises(NumericError, match="even parity") as err:
+        _check_even_parity(rows)
+    assert "1.000e-09" in str(err.value)
+    rows[1, 1, 1] = 0
+    _check_even_parity(rows)
+    _check_even_parity(rows[:, :1])  # no odd coefficients
+
+
 def test_rogue_components_two_three_equal():
     chart = RogueChart(LAM_CRIT)
     trip = rogue_eigenfunction_jet(chart, SEED_R, (1.1, 0.6, -0.4), 2)
@@ -327,11 +343,34 @@ def test_cached_statics_are_read_only():
             order = _jet_power(chart) * chart.multiplicity
             arrays.append(_power_jets(chart.lam, order, _jet_power(chart),
                                      s.charts.folds))
-            if isinstance(chart, ZeroSeedChart):
-                arrays.extend(_zero_seed_static(chart, order))
-            elif isinstance(chart, BreatherChart):
-                arrays.extend(_breather_static(chart, s.background, order))
-            else:
-                arrays.extend(_rogue_static(chart, s.background, order))
+            form = FORMS[type(chart)](chart, s.background, order)
+            for v in vars(form).values():
+                arrays.extend(a for a in (v if isinstance(v, tuple) else [v])
+                              if isinstance(a, np.ndarray))
     assert arrays
     assert not [a for a in arrays if a.flags.writeable]
+
+
+def test_paired_charts_return_phi3_as_phi2():
+    # _assemble and _layout read phi3 is phi2 as the pairing of a chart
+    paired_panels = []
+    for name, s in sorted(SCENARIOS.items()):
+        seed = s.background
+        pairs = []
+        for chart in s.charts.charts:
+            order = _jet_power(chart) * chart.multiplicity
+            _, phi2, phi3 = chart_jets(chart, seed, s.profile,
+                                       *_one_point((0.3, -0.2, 0.1)), order)
+            if isinstance(chart, BreatherChart):
+                want = chart.l1 == 0 and (seed.a1, seed.b1, seed.c1) \
+                    == (seed.a2, seed.b2, seed.c2)
+            else:
+                want = True
+            assert (phi3 is phi2) == want, name
+            pairs.append(want)
+        if all(pairs):
+            paired_panels.append(name)
+    assert paired_panels == [
+        n for n in sorted(SCENARIOS) if n[:4] in ("fig1", "fig3", "fig4")
+        or n in ("fig5a", "fig5b", "fig6a", "fig6b", "fig6c")]
+    assert len(paired_panels) == 23
