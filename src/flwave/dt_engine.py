@@ -9,14 +9,16 @@ two determinant ratios det Omega_2 / det Omega_1 and det Omega_3 /
 det Omega_1.  Omega_2 and Omega_3 are Omega_1 with column 3N-2 or 3N-1
 replaced by one vector r, so by Cramer's rule the ratios are entries
 3N-2 and 3N-1 of the solution z of Omega_1 z = r: one refined solve per
-point gives both.
+point gives both.  Where every chart is paired (its phi3 is its phi2),
+the two ratios are equal, and the system is reduced to 2N x 2N whose
+last unknown is both (_layout).
 
 Points are evaluated chunk_points(config) at a time: their jets are
-arrays with one column per point, Omega_1 is a (P, 3N, 3N) stack, and
-one stacked solve refines them all.  A chunk holds CHUNK_ENTRIES entries
-of Omega_1: 2304, 576, 256 and 144 points for N = 1..4, so a 15x15 N = 3
-panel is one chunk.  A point's value does not depend on the chunk it is
-in.
+arrays with one column per point, Omega_1 is a (P, 3N, 3N) stack, or
+(P, 2N, 2N) where reduced, and one stacked solve refines them all.  A
+chunk holds CHUNK_ENTRIES entries of a 3N x 3N Omega_1: 2304, 576, 256
+and 144 points for N = 1..4, so a 15x15 N = 3 panel is one chunk.  A
+point's value does not depend on the chunk it is in.
 evaluate_solution and the sampler's one-point call are the one-point
 faces of the same code.  spec_from_json reads a whole run (seed,
 profile, grid and charts) from its JSON form.
@@ -38,10 +40,12 @@ from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, jet_div,
 from .spectral import (BreatherChart, RogueChart, SpectralChart,
                        ZeroSeedChart, chart_jets, critical_lambda)
 
-# fold count cap; conditioning of the 3N x 3N systems degrades fast beyond it
+# fold count cap; conditioning of the 3N x 3N (or reduced 2N x 2N) systems
+# degrades fast beyond it
 MAX_FOLDS = 4
-# Omega_1 entries per evaluation chunk, P * (3N)^2: a call's fixed cost
-# is spread over P points, 256 at N = 3.  A chunk's large temporaries
+# Omega_1 entries per evaluation chunk, P * (3N)^2 (a reduced system
+# keeps P, with 4/9 of the entries): a call's fixed cost is spread over
+# P points, 256 at N = 3.  A chunk's large temporaries
 # live in each thread's numerics workspace, the largest of them formed
 # numerics.BLOCK_WORDS at a time, so the workspace stays about as large
 # as it was with chunks of 64 N = 3 points.
@@ -110,10 +114,22 @@ def _power_jets(lam: complex, order: int, power: int, n_folds: int):
 
 
 @lru_cache(maxsize=None)
+def _merged_power_jets(lam: complex, order: int, power: int, n_folds: int):
+    """The static jets a chart of a reduced system multiplies phi1 and phi2
+    by, as a (2, 2N+1, order+1) array: lambda^m for phi1, and for phi2
+    lambda^m doubled at the exponents N-1, N-3, ..., -(N-1), which only
+    the merged columns read.  2 lambda^m phi2 is phi2 + phi2 exactly."""
+    pows = _power_jets(lam, order, power, n_folds)
+    twice = pows.copy()
+    twice[1::2] *= 2
+    return _frozen(pows, twice)
+
+
+@lru_cache(maxsize=None)
 def _layout(config: DtConfig, paired: tuple):
     """Where each entry of [Omega_1 | r] comes from, as three (3N, 3N+1)
-    tables: a row of the stacked sources, whether to conjugate it, and
-    whether to negate it.
+    tables, or (2N, 2N+1) ones for a reduced system: a row of the stacked
+    sources, whether to conjugate it, and whether to negate it.
 
     Column ladder: phi1 columns at lambda exponents N, N-2, ..., -(N-2)
     and (phi2, phi3) pairs at N-1, N-3, ..., -(N-1), interleaved in
@@ -133,9 +149,20 @@ def _layout(config: DtConfig, paired: tuple):
     triangular factor (and r with Omega_1), so both ratios are unchanged,
     while the spurious rank drop at nodes of phi1 (the center of a rogue
     wave, where the faithful rows make 0/0) disappears.
+
+    Where every chart is paired, those N rows are the same at every point
+    and read V d = 0, d_j = z[3j+2] - z[3j+1], V a (confluent) Vandermonde
+    matrix in conj(lambda)^-2 that DtConfig keeps nonsingular: so
+    z[3j+2] = z[3j+1], and both ratios are the last unknown of the reduced
+    system.  That system drops the N rows, adds column 3j+2 into column
+    3j+1 and drops column 3j+2: a base row's two entries are the same
+    lambda^m phi2, and a first companion row has only the one in column
+    3j+1.  Each chart then stacks only its phi1 and phi2 blocks, the
+    latter doubled where the merged columns read it (_merged_power_jets).
     """
     n = config.folds
     dim = 3 * n
+    reduced = all(paired)
     block_rows = []
     offset = 0
     for chart, pair in zip(config.charts, paired):
@@ -168,10 +195,14 @@ def _layout(config: DtConfig, paired: tuple):
             if not pair:
                 comp3[dim] = (at(2, -n, c), True, False)
             block_rows += [base, comp2, comp3]
-        offset += 3 * block
+        offset += (2 if reduced else 3) * block
     zero = (offset, False, False)
     table = np.array([[row.get(col, zero) for col in range(dim + 1)]
                       for row in block_rows], dtype=object)
+    if reduced:
+        # every block's comp3 row, and every column 3j+2, go
+        keep = np.arange(dim + 1) % 3 != 2
+        table = table[keep[:-1]][:, keep]
     out = (table[..., 0].astype(np.intp), table[..., 1].astype(bool),
            table[..., 2].astype(bool))
     for a in out:
@@ -180,28 +211,33 @@ def _layout(config: DtConfig, paired: tuple):
 
 
 def _assemble(config: DtConfig, phis):
-    """(Omega_1, r) stacks, (P, 3N, 3N) and (P, 3N), from each chart's
-    point jets (phi1, phi2, phi3), of order power * multiplicity."""
+    """(Omega_1, r) stacks, (P, 3N, 3N) and (P, 3N), or (P, 2N, 2N) and
+    (P, 2N) where every chart is paired, from each chart's point jets
+    (phi1, phi2, phi3), of order power * multiplicity."""
     n = config.folds
     width = phis[0][0].shape[1]
     ks = [phi1.shape[0] for phi1, _, _ in phis]
+    paired = tuple(phi3 is phi2 for _, phi2, phi3 in phis)
+    reduced = all(paired)
+    powers = _merged_power_jets if reduced else _power_jets
     src = scratch("assembly", (3 * (2 * n + 1) * sum(ks) + 1, width),
                   complex)
     at = 0
-    for chart, k, (phi1, phi2, phi3) in zip(config.charts, ks, phis):
-        pows = _power_jets(chart.lam, k - 1, _jet_power(chart), n)
+    for chart, k, pair, (phi1, phi2, phi3) in zip(config.charts, ks, paired,
+                                                  phis):
+        pows = powers(chart.lam, k - 1, _jet_power(chart), n)
         # lambda^m * phi_j for every m, each coefficient of which is one
         # derivative row's entry
-        jets = [phi1, phi2] if phi3 is phi2 else [phi1, phi2, phi3]
+        jets = [phi1, phi2] if pair else [phi1, phi2, phi3]
         size = len(jets) * (2 * n + 1) * k
         series_mul(pows, np.array(jets)[:, None], out=src[at:at + size]
                    .reshape(len(jets), 2 * n + 1, k, width))
         at += size
-        if phi3 is phi2:
+        if pair and not reduced:
             src[at:at + pows.size] = pows.reshape(-1, 1)
             at += pows.size
     src[at] = 0
-    idx, conj, neg = _layout(config, tuple(p[2] is p[1] for p in phis))
+    idx, conj, neg = _layout(config, paired)
     # a fresh array: np.take into a buffer copies the transposed source
     # first, and is slower than this gather
     g = src.T[:, idx]
@@ -315,7 +351,8 @@ def _evaluate_chunk(background, config, profile, x, y, t):
             for chart in config.charts]
     z, why = solve_stack(*_assemble(config, phis))
     q1b, q2b = background_field(background, (x, y, t))
-    q1 = q1b + z[:, -2]
+    # the last unknown of a reduced (2N) system is both ratios
+    q1 = q1b + z[:, -1 if z.shape[1] == 2 * config.folds else -2]
     q2 = q2b + z[:, -1]
     finite = np.isfinite(q1) & np.isfinite(q2)
     if not np.logical_and.reduce(finite):

@@ -337,8 +337,10 @@ def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed,
         raise ConfigError(
             f"rogue chart of multiplicity {chart.multiplicity} needs jet "
             f"order >= {2 * chart.multiplicity}, got {jet_order}")
-    # two extra orders: the eps^-1 prefactor shifts every series down by
-    # one, and the eps^2 perturbation itself needs headroom at order 0
+    # the eps^-1 prefactor shifts every series down by one, so the window
+    # reads coefficients 1 .. jet_order + 1.  sqrt(S) leads at eps^1, and
+    # its coefficient jet_order + 1 needs S's at jet_order + 2: the jets
+    # are built one order higher and that top coefficient is dropped
     internal_order = jet_order + 2
     a1, d1 = seed.a1, seed.d1
     lam = Jet.variable(chart.lam, internal_order, power=2)
@@ -360,11 +362,11 @@ def _rogue_static(chart: RogueChart, seed: PlaneWaveSeed,
     # are exactly -half.imag and half.real
     i_half = [complex(-c.imag, c.real) for c in half.coeffs]
     exponent = _frozen(half, i_half, jet_mul(half, R),
-                       jet_mul(half, delta_jet))[:, None, :, None]
+                       jet_mul(half, delta_jet))[:, None, :-1, None]
     # both phases are of theta1, which is formed once
     abc = _frozen(a1, seed.b1, seed.c1)[:, None, None, None]
     return ChartForm(tuple(exponent), (((1, 0), (-1, 1)), ((1, 2), (-1, 3))),
-                     negate=True, statics=_frozen(c_minus, c_plus),
+                     negate=True, statics=_frozen(c_minus, c_plus)[:, :-1],
                      phases=(*abc, _frozen(0.5, -0.5)[:, None, None]),
                      shift=1, even=True)
 

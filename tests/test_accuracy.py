@@ -2,7 +2,9 @@
 
 The oracle solves the same double-precision system Omega_1 z = r in
 50-digit mpmath arithmetic, so it judges the solve alone: the two field
-ratios (the fields minus the seed) must match it to 1e-12 relative.
+ratios (the fields minus the seed) must match it to 1e-12 relative.  A
+second oracle solves the faithful 3N system of a fully paired panel, with
+its phi3 rows, so it also judges the reduction to 2N.
 """
 
 import mpmath
@@ -17,6 +19,9 @@ ORACLE_DIGITS = 50
 RATIO_RTOL = 1e-12
 N3_SCENARIOS = ("fig4a", "fig4b", "fig4c", "fig4d",
                 "fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f")
+# every chart of these is paired: the engine solves a 2N system
+PAIRED_N3_SCENARIOS = ("fig4a", "fig4b", "fig4c", "fig4d",
+                       "fig6a", "fig6b", "fig6c")
 SUBGRID_NODES = 21
 
 # frame nodes where eliminating three determinants in double precision
@@ -29,21 +34,28 @@ RICHARDSON_NODES = HARD_NODES[1:]
 RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 
-def _system(s, point):
-    """Omega_1 and r at one point, as the engine assembles them."""
+def _system(s, point, faithful=False):
+    """Omega_1 and r at one point, as the engine assembles them, or with
+    faithful=True as the 3N system of distinct phi2 and phi3 rows."""
     phis = [chart_jets(c, s.background, s.profile, *_one_point(point),
                        dt_engine._jet_power(c) * c.multiplicity)
             for c in s.charts.charts]
+    if faithful:
+        phis = [(phi1, phi2, phi2.copy()) for phi1, phi2, _ in phis]
     omega1, r = dt_engine._assemble(s.charts, phis)
     return omega1[0], r[0]
 
 
-def _oracle_ratios(omega1, r):
+def _oracle_ratios(omega1, r, folds):
+    """The two ratios of the system: entries 3N-2 and 3N-1 of z, or the
+    last entry twice for a reduced 2N system, whose last unknown stands
+    for both."""
     with mpmath.workdps(ORACLE_DIGITS):
         a = mpmath.matrix([[mpmath.mpc(c) for c in row] for row in omega1])
         z = mpmath.lu_solve(a, mpmath.matrix([mpmath.mpc(c) for c in r]))
         n = len(omega1)
-        return z[n - 2], z[n - 1]
+        first = n - 1 if n == 2 * folds else n - 2
+        return z[first], z[n - 1]
 
 
 def _pivot_ratio(omega1) -> float:
@@ -82,9 +94,9 @@ def _sampled_ratios(monkeypatch, s, point):
     return sample.q1, sample.q2
 
 
-def _assert_matches_oracle(monkeypatch, name, point):
+def _assert_matches_oracle(monkeypatch, name, point, faithful=False):
     s = SCENARIOS[name]
-    want = _oracle_ratios(*_system(s, point))
+    want = _oracle_ratios(*_system(s, point, faithful), s.charts.folds)
     got = _sampled_ratios(monkeypatch, s, point)
     for g, w in zip(got, want):
         with mpmath.workdps(ORACLE_DIGITS):
@@ -101,6 +113,16 @@ def test_ratios_match_oracle_at_hard_nodes(monkeypatch, name, point):
 def test_ratios_match_oracle_at_worst_conditioned_node(monkeypatch, name):
     point = _worst_conditioned_node(SCENARIOS[name])
     _assert_matches_oracle(monkeypatch, name, point)
+
+
+@pytest.mark.parametrize("name", PAIRED_N3_SCENARIOS)
+def test_reduced_ratio_matches_the_full_system_oracle(monkeypatch, name):
+    # the engine solves these panels' 2N systems; the oracle solves the
+    # 3N one whose phi3 is a copy of phi2, and so is not reduced
+    s = SCENARIOS[name]
+    point = _worst_conditioned_node(s)
+    assert len(_system(s, point)[0]) == 2 * s.charts.folds
+    _assert_matches_oracle(monkeypatch, name, point, faithful=True)
 
 
 @pytest.mark.parametrize("name,point", RICHARDSON_NODES)

@@ -11,11 +11,13 @@ from flwave import (
     ConfigError,
     DeformationProfile,
     DtConfig,
+    GridSpec,
     PlaneWaveSeed,
     RogueChart,
     SquareMatrix,
     ZeroBackground,
     ZeroSeedChart,
+    background_field,
     breather_eigenfunction,
     closed_form_rw1,
     critical_lambda,
@@ -24,7 +26,9 @@ from flwave import (
     plane_wave_field,
     solution_sampler,
 )
-from flwave.dt_engine import _assemble, _jet_power, spec_from_json
+from flwave.cli import SCENARIOS
+from flwave.dt_engine import (_assemble, _jet_power, _layout, evaluate_points,
+                              spec_from_json)
 from flwave.errors import ConfigError, SingularPointError
 from flwave.numerics import solve_stack
 from flwave.spectral import _one_point, chart_jets
@@ -89,22 +93,29 @@ def test_one_fold_matrix_structure():
 def test_solve_entries_are_the_determinant_ratios():
     # Cramer's rule: the last two entries of z with Omega_1 z = r are
     # det Omega_2 / det Omega_1 and det Omega_3 / det Omega_1, Omega_2 and
-    # Omega_3 being Omega_1 with column 3N-2 or 3N-1 replaced by r
+    # Omega_3 being Omega_1 with column 3N-2 or 3N-1 replaced by r; phi3
+    # as a copy of phi2 keeps the 3N system of distinct phi3 rows
     config = DtConfig((RogueChart(LAM_CRIT, multiplicity=1),
                        BreatherChart(0.5 + 0.5j, 0, 1, 1)))
     point = (0.7, -1.3, 0.2)
-    omega1, r = _assemble(config, point_jets(config, SEED_R, point))
+    phis = point_jets(config, SEED_R, point)
+    omega1, r = _assemble(config, [(p1, p2, p2.copy()) for p1, p2, _ in phis])
     n = omega1.shape[-1]
     assert n == 3 * config.folds and r.shape == (1, n)
     z, why = solve_stack(omega1, r)
     assert why[0] == 0
     d1 = det(SquareMatrix(omega1[0].tolist()))
+    # both charts are paired: the engine's 2N system has one unknown for
+    # the two ratios, its last
+    u, why = solve_stack(*_assemble(config, phis))
+    assert why[0] == 0 and u.shape == (1, 2 * config.folds)
     for col in (n - 2, n - 1):
         rows = omega1[0].tolist()
         for i in range(n):
             rows[i][col] = r[0, i]
         want = det(SquareMatrix(rows)) / d1
         assert abs(z[0, col] - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(u[0, -1] - want) < 1e-10 * max(1.0, abs(want))
 
 
 def test_omega1_generically_nonsingular():
@@ -117,6 +128,37 @@ def test_omega1_generically_nonsingular():
         omega1, _ = _assemble(config, point_jets(config, ZeroBackground(),
                                                  point))
         assert abs(det(SquareMatrix(omega1[0].tolist()))) > 1e-12
+
+
+# the fully paired panels, as test_paired_charts_return_phi3_as_phi2 lists
+# them: every chart's phi3 is its phi2
+PAIRED_PANELS = [
+    n for n in sorted(SCENARIOS) if n[:4] in ("fig1", "fig3", "fig4")
+    or n in ("fig5a", "fig5b", "fig6a", "fig6b", "fig6c")]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_layout_is_reduced_exactly_when_every_chart_is_paired(name):
+    s = SCENARIOS[name]
+    n = s.charts.folds
+    paired = tuple(phi3 is phi2 for _, phi2, phi3 in
+                   point_jets(s.charts, s.background, (0.3, -0.2, 0.1)))
+    dim = 2 * n if name in PAIRED_PANELS else 3 * n
+    assert all(paired) == (name in PAIRED_PANELS)
+    for table in _layout(s.charts, paired):
+        assert table.shape == (dim, dim + 1)
+
+
+@pytest.mark.parametrize("name", PAIRED_PANELS)
+def test_paired_panels_give_bit_equal_ratios(name):
+    s = SCENARIOS[name]
+    g = s.grid
+    spec = GridSpec(g.x_min, g.x_max, g.y_min, g.y_max, 41, 41, g.t)
+    points = [(x, y, g.t) for y in spec.ys() for x in spec.xs()]
+    q1, q2, _ = evaluate_points(s.background, s.charts, s.profile, points)
+    q1b, q2b = background_field(s.background, np.array(points).T)
+    d1, d2 = q1 - q1b, q2 - q2b
+    assert d1.tobytes() == d2.tobytes()
 
 
 def test_gauge_invariance_of_determinant_ratio():

@@ -25,7 +25,7 @@ from flwave import (
     zero_seed_eigenfunction,
 )
 from flwave.cli import SCENARIOS
-from flwave.dt_engine import _jet_power, _power_jets
+from flwave.dt_engine import _jet_power, _merged_power_jets, _power_jets
 from flwave.numerics import jet_mul, jet_sqrt_even
 from flwave.errors import NumericError
 from flwave.spectral import (FORMS, _check_even_parity, _one_point,
@@ -341,7 +341,8 @@ def test_cached_statics_are_read_only():
     for s in SCENARIOS.values():
         for chart in s.charts.charts:
             order = _jet_power(chart) * chart.multiplicity
-            arrays.append(_power_jets(chart.lam, order, _jet_power(chart),
+            for powers in (_power_jets, _merged_power_jets):
+                arrays.append(powers(chart.lam, order, _jet_power(chart),
                                      s.charts.folds))
             form = FORMS[type(chart)](chart, s.background, order)
             for v in vars(form).values():
