@@ -10,10 +10,17 @@ Products along the point axis are formed from real and imaginary parts:
 numpy's complex `*` picks a loop by array layout, and the loops round
 differently, so a point's value would depend on the chunk it came in.
 
-A stack of small systems is equilibrated by powers of two and solved by
-one stacked LAPACK call; each solution is refined against residuals
-computed with error-free transformations (Dekker's TwoProd, Knuth's
-TwoSum; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).
+A stack of small systems is equilibrated by powers of two and inverted
+by one stacked LAPACK call.  Each system's condition number, from the
+inverse, decides how it is refined against residuals computed with
+error-free transformations (Dekker's TwoProd, Knuth's TwoSum; Ogita,
+Rump & Oishi, SIAM J. Sci. Comput. 26, 2005):
+
+- a well-conditioned system takes its corrections from the inverse, and
+  stops once an error bound from its condition number is met (Demmel et
+  al., ACM TOMS 32, 2006), which most systems meet after one residual;
+- the others are corrected by stacked LU solves until the last
+  correction is small.
 
 The large temporaries of an evaluation chunk live in a per-thread
 workspace (`scratch`): flat buffers that only grow and are reused from
@@ -247,8 +254,9 @@ BLOCK_WORDS = 32768
 # the solve's buffers, each by the jets' or the assembly's buffer whose
 # memory it takes: a chunk's jets and assembly are done, and hold nothing
 # in their buffers, before its solve begins, and the solve's equilibration
-# is done before its residuals
-_SHARED = {"equilibrate": "assembly", "neg": "assembly",
+# and norms are done before its residuals.  "stack0" holds the stack's
+# inverse, or the systems kept of the stack when some are dropped
+_SHARED = {"equilibrate": "assembly", "norm": "assembly", "neg": "assembly",
            "neg_hi": "series_mul", "neg_lo": "cmul_tmp",
            "res_errs": "products", "stack0": "cmul"}
 
@@ -396,6 +404,9 @@ def series_exp(a: np.ndarray) -> np.ndarray:
 # refinement stops once the last correction is this small next to z
 REFINE_TOL = 2.0 ** -50
 MAX_CORRECTIONS = 3
+# a system takes its corrections from the stacked inverse where rho =
+# 8 n u kappa is below this, so that the inverse's own norm can be trusted
+INVERSE_RHO = 2.0 ** -20
 
 _SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 
@@ -417,6 +428,13 @@ class SquareMatrix:
 def _magnitude(c: np.ndarray) -> np.ndarray:
     """max(|re|, |im|): exact, and finite wherever c is."""
     return np.maximum(np.abs(c.real), np.abs(c.imag))
+
+
+def _across_rows(f, m: np.ndarray) -> np.ndarray:
+    """f.reduce(m, axis=1) of a (P, n) array for the binary ufunc f, from
+    a copy laid out with P fastest: numpy reduces a short inner axis with
+    one inner-loop call per row."""
+    return f.reduce(np.ascontiguousarray(m.T), axis=0)
 
 
 def _pow2_exponents(m: np.ndarray) -> np.ndarray:
@@ -454,30 +472,31 @@ def _equilibrate(a: np.ndarray, out=None):
     # two steps, as a single factor 2**-(row + col) could overflow
     out.real = np.multiply(np.multiply(a.real, rs, re), cs, re)
     out.imag = np.multiply(np.multiply(a.imag, rs, im), cs, im)
-    finite = np.logical_and.reduce(np.isfinite(row_mag), axis=1)
+    # a non-finite magnitude makes its row's maximum non-finite
+    finite = np.isfinite(_across_rows(np.maximum, row_mag))
     return out, row, col, finite
 
 
-def _lapack_solve(a: np.ndarray, b: np.ndarray):
-    """x with a x = b for each system of the stack, and which systems met
-    a zero pivot (their x is NaN).  A singular matrix fails a stacked
-    call as a whole, so that stack is then solved in halves, and each
-    half that fails in halves again, down to the one system that fails
-    alone: one singular system of P costs at most 2 log2(P) + 1 calls.
-    Each system's result is the same either way."""
+def _lapack(f, *stacks):
+    """f(*stacks), for f np.linalg.solve or _inverse over stacks of
+    systems, and which systems met a zero pivot (their result is NaN).
+    The last stack has the result's shape.  A singular matrix fails a
+    stacked call as a whole, so that stack is then taken in halves, and
+    each half that fails in halves again, down to the one system that
+    fails alone: one singular system of P costs at most 2 log2(P) + 1
+    calls.  Each system's result is the same either way."""
     try:
-        # b as (P, n, 1): numpy 2 reads a (P, n) right-hand side otherwise
-        return (np.linalg.solve(a, b[..., None])[..., 0],
-                np.zeros(len(a), bool))
+        return f(*stacks), np.zeros(len(stacks[0]), bool)
     except np.linalg.LinAlgError:
         pass
-    x = np.full(b.shape, np.nan, complex)
-    singular = np.ones(len(a), bool)
-    if len(a) > 1:
-        half = len(a) // 2
-        for part in (slice(0, half), slice(half, len(a))):
-            x[part], singular[part] = _lapack_solve(a[part], b[part])
-    return x, singular
+    out = np.full(stacks[-1].shape, np.nan, complex)
+    singular = np.ones(len(out), bool)
+    if len(out) > 1:
+        half = len(out) // 2
+        for part in (slice(0, half), slice(half, len(out))):
+            out[part], singular[part] = _lapack(
+                f, *(s[part] for s in stacks))
+    return out, singular
 
 
 def _split(v: np.ndarray, hi: np.ndarray, lo: np.ndarray):
@@ -576,30 +595,123 @@ def _residual(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _inf_norm(m: np.ndarray) -> np.ndarray:
+    """max_i sum_j _magnitude(m[p, i, j]) for each matrix of a (P, n, n)
+    stack: at most sqrt(2) below the infinity norm.  The rows are
+    summed column by column, so that a matrix's norm does not depend on
+    the layout of its stack."""
+    re, im = scratch("norm", (2,) + m.shape)
+    mag = np.maximum(np.abs(m.real, re), np.abs(m.imag, im), out=re)
+    rows = mag[:, :, 0].copy()
+    for j in range(1, m.shape[2]):
+        rows += mag[:, :, j]
+    return _across_rows(np.maximum, rows)
+
+
+def _singular(kind, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """numpy.linalg.inv of a (P, n, n) stack, written into out.  inv
+    itself has no out argument, so this calls the gufunc under it; a
+    zero pivot sets the invalid flag there, which raises LinAlgError as
+    in inv."""
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return np.linalg._umath_linalg.inv(a, signature="D->D", out=out)
+
+
+def _inverse_correction(inv: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # einsum, not matmul: BLAS would round a product by the stack's size
+    return np.einsum("pij,pj->pi", inv, r)
+
+
+def _lu_correction(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return _lapack(np.linalg.solve, a, r[..., None])[0][..., 0]
+
+
+def _refine(a, m, b, x, col_scale, slack, correct):
+    """z = diag(col_scale) x of each system a x = b of an equilibrated
+    stack, refined from the iterate x, and why each gap is one.
+
+    Each step adds correct(m, r) to x, r being the residual (_residual)
+    and m a itself or its inverse.  A system is done once slack * dz <=
+    REFINE_TOL * max|z|, dz being its last correction on z's own scale;
+    the others take another step, at most MAX_CORRECTIONS in all.  Those
+    whose iterate is not finite, or whose slack is NaN, or that do not
+    converge, are gaps.
+    """
+    why = np.zeros(len(b), np.int8)
+    keep = None
+    for _ in range(MAX_CORRECTIONS):
+        if keep is not None:
+            sel = keep.nonzero()[0]
+            if not sel.size:
+                break
+            a, m = a[sel], (a[sel] if m is a else m[sel])
+            at, b, x, col_scale, slack = (v[sel] for v in
+                                          (at, b, x, col_scale, slack))
+        dx = correct(m, _residual(a, b, x))
+        x = x + dx
+        zs = rmul(x, col_scale)
+        # a non-finite entry makes its row's maximum non-finite
+        dz = slack * _across_rows(np.maximum, _magnitude(dx) * col_scale)
+        zmax = _across_rows(np.maximum, _magnitude(zs))
+        ok = np.isfinite(dz) & np.isfinite(zmax)
+        done = ok & (dz <= REFINE_TOL * zmax)
+        if np.logical_and.reduce(done):
+            if keep is None:  # every system is done after one step
+                return zs, why
+            z[at] = zs
+            return z, why
+        if keep is None:
+            z, at = np.full(b.shape, np.nan, complex), np.arange(len(b))
+        z[at[done]] = zs[done]
+        why[at[~ok]] = NO_CONVERGENCE
+        keep = ok & ~done
+    else:
+        why[at[keep]] = NO_CONVERGENCE
+    return z, why
+
+
 def solve_stack(a: np.ndarray, b: np.ndarray):
     """z with a[p] z[p] = b[p] for each system of a (P, n, n) stack, and
     why each gap is one (an int8 code per system, 0 for a value).
 
-    The stack is equilibrated; systems with a non-finite entry are
-    dropped, and the others are solved by one stacked LAPACK call and
-    refined against the residual: every system takes one correction,
-    and the ones whose last correction is still above REFINE_TOL *
-    max|z| take another, at most MAX_CORRECTIONS in all.  A non-finite entry, a zero pivot, a non-finite iterate and a
-    system that does not converge are gaps, and their z is NaN.
+    The stack is equilibrated by powers of two (_equilibrate), so that
+    its systems solve for x = diag(2**col) z, and the systems with a
+    non-finite entry are dropped.  One stacked inverse of the rest gives
+    each system's kappa = ||A||_inf ||inv(A)||_inf (_inf_norm) and rho =
+    8 n u kappa, u = 2**-53, taken as a bound on ||I - inv(A) A||_inf.
+
+    - Where rho < INVERSE_RHO, x = inv(A) b, and each correction is
+      inv(A) r for the residual r (_residual).  The error left in x
+      after a correction dx is then at most rho / (1 - rho) ||dx||_inf.
+      That bound holds in the equilibrated unknowns x, not in z; the
+      rule weighs it on z's own scale, as the LU rule below weighs its
+      corrections: a system stops once rho / (1 - rho) dz <= REFINE_TOL
+      max|z|, dz being its largest |correction| of z.  Most systems stop
+      after one residual.
+    - The others are solved and corrected by stacked LU solves, and stop
+      once dz <= REFINE_TOL max|z|.
+
+    Either takes at most MAX_CORRECTIONS corrections (_refine).  A
+    non-finite entry, a zero pivot, a non-finite iterate and a system
+    that does not converge are gaps, and their z is NaN.
     """
     why = np.zeros(len(a), np.int8)
     z = np.full(b.shape, np.nan, complex)
-    all_of, max_of = np.logical_and.reduce, np.maximum.reduce
-    # the equilibrated stack is in one of two workspace buffers, and the
-    # systems kept of it are gathered into whichever one a is not in: a
-    # gather cannot write over its own source, and only with mode "clip"
-    # does take write straight into out
-    spare, other = "stack0", "stack1"
+    # the equilibrated stack and its inverse are in the two workspace
+    # buffers "stack0" and "stack1", the inverse in whichever one the
+    # stack is not in: the systems kept of it are gathered into "stack0",
+    # and only with mode "clip" does take write straight into out
+    spare = "stack0"
     with np.errstate(all="ignore"):
         a, row, col, finite = _equilibrate(
-            a, scratch(other, a.shape, complex))
+            a, scratch("stack1", a.shape, complex))
         b = rmul(b, np.ldexp(1.0, -row))
-        finite &= all_of(np.isfinite(b), axis=1)
+        finite &= _across_rows(np.logical_and, np.isfinite(b))
         why[~finite] = NON_FINITE
         idx = finite.nonzero()[0]
         if not idx.size:
@@ -607,40 +719,26 @@ def solve_stack(a: np.ndarray, b: np.ndarray):
         if idx.size < len(a):
             a = np.take(a, idx, axis=0, mode="clip", out=scratch(
                 spare, (idx.size,) + a.shape[1:], complex))
-            spare, other = other, spare
             b, col = b[idx], col[idx]
-        x, singular = _lapack_solve(a, b)
-        why[idx[singular]] = ZERO_PIVOT
-        keep = ~singular
-        # the scaled system solves for x with z = diag(2**-col) x; the
-        # stopping rule weighs corrections on z's own scale
+            spare = "stack1"
+        inv, singular = _lapack(_inverse, a,
+                                scratch(spare, a.shape, complex))
+        rho = 8 * a.shape[1] * 2.0 ** -53 * _inf_norm(a) * _inf_norm(inv)
         col_scale = np.ldexp(1.0, -col)
-        for _ in range(MAX_CORRECTIONS):
-            if not all_of(keep):
-                sel = keep.nonzero()[0]
-                idx, b, x, col_scale = (v[sel] for v in
-                                        (idx, b, x, col_scale))
-                if not idx.size:
-                    break
-                a = np.take(a, sel, axis=0, mode="clip", out=scratch(
-                    spare, (len(sel),) + a.shape[1:], complex))
-                spare, other = other, spare
-            dx, _ = _lapack_solve(a, _residual(a, b, x))
-            x = x + dx
-            zs = rmul(x, col_scale)
-            # a non-finite entry makes its row's maximum non-finite
-            dz = max_of(_magnitude(dx) * col_scale, axis=1)
-            zmax = max_of(_magnitude(zs), axis=1)
-            ok = np.isfinite(dz) & np.isfinite(zmax)
-            done = ok & (dz <= REFINE_TOL * zmax)
-            if all_of(done):
-                z[idx] = zs
-                break
-            z[idx[done]] = zs[done]
-            why[idx[~ok]] = NO_CONVERGENCE
-            keep = ok & ~done
-        else:
-            why[idx[keep]] = NO_CONVERGENCE
+        # every system takes the inverse's first correction, but one whose
+        # rho is not below INVERSE_RHO (NaN where inv is not finite) has
+        # a NaN slack, so it leaves with that step and takes LU solves
+        fast = rho < INVERSE_RHO
+        z[idx], why[idx] = _refine(
+            a, inv, b, _inverse_correction(inv, b), col_scale,
+            np.where(fast, rho / (1 - rho), np.nan), _inverse_correction)
+        lu = (~fast & ~singular).nonzero()[0]
+        if lu.size:
+            a, b = a[lu], b[lu]
+            z[idx[lu]], why[idx[lu]] = _refine(
+                a, a, b, _lu_correction(a, b), col_scale[lu],
+                np.ones(lu.size), _lu_correction)
+        why[idx[singular]] = ZERO_PIVOT
     return z, why
 
 

@@ -2,10 +2,13 @@
 
 The oracle solves the same double-precision system Omega_1 z = r in
 50-digit mpmath arithmetic, so it judges the solve alone: the two field
-ratios (the fields minus the seed) must match it to 1e-12 relative.  A
-second oracle solves the faithful 3N system of a fully paired panel, with
-its phi3 rows, so it also judges the reduction to 2N.
+ratios (the fields minus the seed) must match it to 1e-12 relative, at
+seeded random nodes of every panel's frame and at nodes where the solve
+works hardest.  A second oracle solves the faithful 3N system of a fully
+paired panel, with its phi3 rows, so it also judges the reduction to 2N.
 """
+
+import random
 
 import mpmath
 import numpy as np
@@ -32,6 +35,20 @@ HARD_NODES = (("fig6f", (-15.0, -35.0, 0.0)),
               ("figYa", (-2.94, -6.70, 0.0)))
 RICHARDSON_NODES = HARD_NODES[1:]
 RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
+SWEEP_NODES_PER_PANEL = 2
+
+
+def _sweep_nodes():
+    """SWEEP_NODES_PER_PANEL seeded random nodes of each panel's frame;
+    HARD_NODES have their own test."""
+    nodes = []
+    for name in sorted(SCENARIOS):
+        g = SCENARIOS[name].grid
+        rng = random.Random(f"sweep:{name}")
+        nodes += [(name, (rng.uniform(g.x_min, g.x_max),
+                          rng.uniform(g.y_min, g.y_max), g.t))
+                  for _ in range(SWEEP_NODES_PER_PANEL)]
+    return nodes
 
 
 def _system(s, point, faithful=False):
@@ -106,6 +123,11 @@ def _assert_matches_oracle(monkeypatch, name, point, faithful=False):
 
 @pytest.mark.parametrize("name,point", HARD_NODES)
 def test_ratios_match_oracle_at_hard_nodes(monkeypatch, name, point):
+    _assert_matches_oracle(monkeypatch, name, point)
+
+
+@pytest.mark.parametrize("name,point", _sweep_nodes())
+def test_ratios_match_oracle_across_every_panel(monkeypatch, name, point):
     _assert_matches_oracle(monkeypatch, name, point)
 
 

@@ -1,6 +1,7 @@
 """The batched engine: a node's value does not depend on its chunk, gaps
-stay inside their own system of a stack, the stacked kernels agree with
-the list-based jet arithmetic, and the callers batch their points."""
+stay inside their own system of a stack, the refined solve meets its
+error bound on both of its paths, the stacked kernels agree with the
+list-based jet arithmetic, and the callers batch their points."""
 
 import dataclasses
 import math
@@ -8,6 +9,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,14 +17,15 @@ from flwave import (DeformationProfile, DtConfig, FieldSample, GridSpec,
                     PlaneWaveSeed, RogueChart, SingularPointError,
                     ZeroBackground, ZeroSeedChart, background_field,
                     closed_form_rw1, critical_lambda, dt_engine,
-                    evaluate_grid, pde_residual, peak_search,
+                    evaluate_grid, numerics, pde_residual, peak_search,
                     plane_wave_field, solution_sampler, verify,
                     zero_seed_eigenfunction)
 from flwave.cli import SCENARIOS
 from flwave.dt_engine import chunk_points, evaluate_points
-from flwave.numerics import (NO_CONVERGENCE, NON_FINITE, ZERO_PIVOT, Jet,
-                             _equilibrate, _lapack_solve, _residual,
-                             _split, jet_mul, series_mul, solve_stack)
+from flwave.numerics import (INVERSE_RHO, NO_CONVERGENCE, NON_FINITE,
+                             ZERO_PIVOT, Jet, _equilibrate, _inf_norm,
+                             _inverse, _lapack, _residual, _split, jet_mul,
+                             series_mul, solve_stack)
 from flwave.verify import _sample_many
 
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
@@ -262,13 +265,27 @@ def test_equilibration_is_an_exact_power_of_two_scaling():
     assert ((mag.max(axis=1) >= 0.5) & (mag.max(axis=1) < 1)).all()
 
 
-@pytest.mark.parametrize("bad", (0, 300, 575))
-def test_one_singular_system_is_found_by_bisection(monkeypatch, bad):
+def _stack_with_one_singular_system(bad):
     rng = np.random.default_rng(13)
     a = rng.standard_normal((576, 3, 3)) \
         + 1j * rng.standard_normal((576, 3, 3))
     b = rng.standard_normal((576, 3)) + 1j * rng.standard_normal((576, 3))
     a[bad, 2] = a[bad, 0] * 2.0  # exactly singular
+    return a, b
+
+
+def _assert_found_by_bisection(calls, result, singular, bad, alone):
+    assert len(calls) <= 2 * math.ceil(math.log2(576)) + 1
+    assert singular.nonzero()[0].tolist() == [bad]
+    assert np.isnan(result[bad]).all()
+    for p in range(576):
+        if p != bad:
+            assert alone(p).tobytes() == result[p].tobytes()
+
+
+@pytest.mark.parametrize("bad", (0, 300, 575))
+def test_one_singular_system_is_found_by_bisection(monkeypatch, bad):
+    a, b = _stack_with_one_singular_system(bad)
     calls = []
     solve = np.linalg.solve
 
@@ -277,14 +294,24 @@ def test_one_singular_system_is_found_by_bisection(monkeypatch, bad):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    x, singular = _lapack_solve(a, b)
-    assert len(calls) <= 2 * math.ceil(math.log2(576)) + 1
-    assert singular.nonzero()[0].tolist() == [bad]
-    assert np.isnan(x[bad]).all()
-    for p in range(576):
-        if p != bad:
-            alone = solve(a[p:p + 1], b[p:p + 1, :, None])[0, :, 0]
-            assert alone.tobytes() == x[p].tobytes()
+    x, singular = _lapack(np.linalg.solve, a, b[..., None])
+    _assert_found_by_bisection(
+        calls, x[..., 0], singular, bad,
+        lambda p: solve(a[p:p + 1], b[p:p + 1, :, None])[0, :, 0])
+
+
+@pytest.mark.parametrize("bad", (0, 300, 575))
+def test_one_singular_inverse_is_found_by_bisection(bad):
+    a, _ = _stack_with_one_singular_system(bad)
+    calls = []
+
+    def counted(*stacks):
+        calls.append(len(stacks[0]))
+        return _inverse(*stacks)
+
+    inv, singular = _lapack(counted, a, np.empty_like(a))
+    _assert_found_by_bisection(calls, inv, singular, bad,
+                               lambda p: np.linalg.inv(a[p:p + 1])[0])
 
 
 def test_solve_stack_survives_entries_near_the_double_limit():
@@ -311,6 +338,141 @@ def test_ill_conditioned_system_is_solved_exactly_inside_a_stack():
     for got, w in zip(z[1], want):
         assert got.imag == 0.0
         assert abs(Fraction(got.real) - w) <= 2 ** -52 * abs(w)
+
+
+# -- the refined solve's two paths and its stopping rule ----------------------
+
+
+def _equilibrated_kappa(a):
+    """||A||_inf ||inv(A)||_inf of each equilibrated system."""
+    return np.array([np.linalg.norm(m, np.inf)
+                     * np.linalg.norm(np.linalg.inv(m), np.inf)
+                     for m in _equilibrate(a)[0]])
+
+
+def _conditioned_stack(kappas, n=6, seed=17):
+    """Systems U diag(s) V^H, U and V random unitary and s geometric from
+    1 down, whose equilibrated kappa_inf is each kappa to within a factor 2;
+    their rows scaled by powers of two, which equilibration undoes, and
+    random right-hand sides."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        return q
+
+    uv = [(unitary(), unitary()) for _ in kappas]
+    spread = np.array(kappas, float)
+    for _ in range(4):  # kappa_inf follows the spread of s nearly linearly
+        a = np.array([u * np.geomspace(1.0, 1.0 / k, n) @ v.conj().T
+                      for (u, v), k in zip(uv, spread)])
+        spread *= kappas / _equilibrated_kappa(a)
+    assert (abs(np.log2(_equilibrated_kappa(a) / kappas)) < 1).all()
+    a *= np.ldexp(1.0, rng.integers(-30, 30, size=(len(kappas), n, 1)))
+    b = rng.standard_normal((len(kappas), n)) \
+        + 1j * rng.standard_normal((len(kappas), n))
+    return a, b
+
+
+def _assert_matches_oracle(z, a, b, systems):
+    """Each system's z within 2^-50 max|z| of a 50-digit solve."""
+    for p in systems:
+        with mpmath.workdps(50):
+            want = mpmath.lu_solve(
+                mpmath.matrix([[mpmath.mpc(v) for v in row] for row in a[p]]),
+                mpmath.matrix([mpmath.mpc(v) for v in b[p]]))
+            scale = max(abs(w) for w in want)
+            for got, w in zip(z[p], want):
+                assert abs(mpmath.mpc(got) - w) <= 2 ** -50 * scale, p
+
+
+def test_solve_stack_matches_the_oracle_from_kappa_1e1_to_1e12():
+    kappas = np.repeat(10.0 ** np.arange(1, 13), 2)
+    a, b = _conditioned_stack(kappas)
+    z, why = solve_stack(a, b)
+    # three LU corrections may fall short of REFINE_TOL past 1e11: such a
+    # system is a gap, never a wrong value
+    assert (why[kappas <= 1e11] == 0).all()
+    assert set(why[kappas > 1e11]) <= {0, NO_CONVERGENCE}
+    _assert_matches_oracle(z, a, b, (why == 0).nonzero()[0])
+
+
+def test_systems_with_kappa_up_to_1e3_take_one_residual(monkeypatch):
+    a, b = _conditioned_stack(np.geomspace(10.0, 750.0, 24))
+    assert (_equilibrated_kappa(a) <= 1e3).all()
+    residuals, solves = [], []
+    residual, solve = numerics._residual, np.linalg.solve
+
+    def counted_residual(a, b, x):
+        residuals.append(len(b))
+        return residual(a, b, x)
+
+    def counted_solve(*args):
+        solves.append(len(args[0]))
+        return solve(*args)
+
+    monkeypatch.setattr(numerics, "_residual", counted_residual)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    z, why = solve_stack(a, b)
+    assert (why == 0).all()
+    assert residuals == [len(a)]
+    assert solves == []
+
+
+def test_the_stop_rule_holds_for_an_inverse_as_poor_as_rho_allows(
+        monkeypatch):
+    # inv(A) replaced by (I + F) inv(A), ||F||_inf = rho / 4: each
+    # correction then leaves about rho / 4 of the error, and the rule
+    # must take a second one before z is within 2^-50 max|z|
+    a, b = _conditioned_stack([5e7] * 4)
+    inverse = numerics._inverse
+    rng = np.random.default_rng(23)
+
+    def poor(a, out):
+        inv = inverse(a, out)
+        rho = 8 * a.shape[1] * 2.0 ** -53 * _inf_norm(a) * _inf_norm(inv)
+        f = rng.standard_normal(inv.shape) \
+            + 1j * rng.standard_normal(inv.shape)
+        f *= (rho / 4 / abs(f).sum(axis=2).max(axis=1))[:, None, None]
+        inv += np.einsum("pij,pjk->pik", f, inv)
+        return inv
+
+    residuals = []
+    residual = numerics._residual
+
+    def counted(a, b, x):
+        residuals.append(len(b))
+        return residual(a, b, x)
+
+    monkeypatch.setattr(numerics, "_inverse", poor)
+    monkeypatch.setattr(numerics, "_residual", counted)
+    z, why = solve_stack(a, b)
+    assert (why == 0).all()
+    assert residuals == [4, 4]
+    _assert_matches_oracle(z, a, b, range(len(a)))
+
+
+def test_a_system_above_the_threshold_takes_lu_solves(monkeypatch):
+    a, b = _conditioned_stack([1e2] * 4 + [1e10] + [1e2] * 4)
+    rho = 8 * 6 * 2.0 ** -53 * _equilibrated_kappa(a)
+    # the engine's norms read at most sqrt(2) low, each
+    assert rho[4] / 2 > INVERSE_RHO
+    assert (np.delete(rho, 4) < INVERSE_RHO).all()
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(len(args[0]))
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    z, why = solve_stack(a, b)
+    assert (why == 0).all()
+    # the LU system alone: its first solve and at least one correction
+    assert len(solves) >= 2 and set(solves) == {1}
+    alone, _ = solve_stack(a[4:5], b[4:5])
+    assert alone[0].tobytes() == z[4].tobytes()
 
 
 def test_split_halves_multiply_exactly():
