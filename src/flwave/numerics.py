@@ -11,7 +11,10 @@ numpy's complex `*` picks a loop by array layout, and the loops round
 differently, so a point's value would depend on the chunk it came in.
 
 A stack of small systems is equilibrated by powers of two and inverted
-by one stacked LAPACK call.  Each system's condition number, from the
+by one stacked LAPACK call, which inverts each system as if it were
+alone: a system with a non-finite entry is solved as the identity and
+marked, and one with a zero pivot gets a NaN inverse of its own, so
+neither moves its neighbours.  Each system's condition number, from the
 inverse, decides how it is refined against residuals computed with
 error-free transformations (Dekker's TwoProd, Knuth's TwoSum; Ogita,
 Rump & Oishi, SIAM J. Sci. Comput. 26, 2005):
@@ -255,7 +258,7 @@ BLOCK_WORDS = 32768
 # memory it takes: a chunk's jets and assembly are done, and hold nothing
 # in their buffers, before its solve begins, and the solve's equilibration
 # and norms are done before its residuals.  "stack0" holds the stack's
-# inverse, or the systems kept of the stack when some are dropped
+# inverse
 _SHARED = {"equilibrate": "assembly", "norm": "assembly", "neg": "assembly",
            "neg_hi": "series_mul", "neg_lo": "cmul_tmp",
            "res_errs": "products", "stack0": "cmul"}
@@ -477,28 +480,6 @@ def _equilibrate(a: np.ndarray, out=None):
     return out, row, col, finite
 
 
-def _lapack(f, *stacks):
-    """f(*stacks), for f np.linalg.solve or _inverse over stacks of
-    systems, and which systems met a zero pivot (their result is NaN).
-    The last stack has the result's shape.  A singular matrix fails a
-    stacked call as a whole, so that stack is then taken in halves, and
-    each half that fails in halves again, down to the one system that
-    fails alone: one singular system of P costs at most 2 log2(P) + 1
-    calls.  Each system's result is the same either way."""
-    try:
-        return f(*stacks), np.zeros(len(stacks[0]), bool)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(stacks[-1].shape, np.nan, complex)
-    singular = np.ones(len(out), bool)
-    if len(out) > 1:
-        half = len(out) // 2
-        for part in (slice(0, half), slice(half, len(out))):
-            out[part], singular[part] = _lapack(
-                f, *(s[part] for s in stacks))
-    return out, singular
-
-
 def _split(v: np.ndarray, hi: np.ndarray, lo: np.ndarray):
     """Dekker's split v = hi + lo, each with at most 26 significant bits,
     written into hi and lo."""
@@ -608,18 +589,23 @@ def _inf_norm(m: np.ndarray) -> np.ndarray:
     return _across_rows(np.maximum, rows)
 
 
-def _singular(kind, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """numpy.linalg.inv of a (P, n, n) stack, written into out.  inv
-    itself has no out argument, so this calls the gufunc under it; a
-    zero pivot sets the invalid flag there, which raises LinAlgError as
-    in inv."""
-    with np.errstate(call=_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return np.linalg._umath_linalg.inv(a, signature="D->D", out=out)
+def _inverse(a: np.ndarray, out: np.ndarray):
+    """numpy.linalg.inv of a (P, n, n) stack, written into out, and which
+    systems met a zero pivot.  inv itself has no out argument, so this
+    calls the gufunc under it, which inverts each system as if it were
+    alone: LAPACK reports a zero pivot for each system separately, and the
+    gufunc fills that system's inverse with NaN and goes on to the next.
+    A pivot whose reciprocal overflows can leave an inverse all NaN too,
+    so a system whose inverse starts with NaN counts as singular where
+    slogdet, which runs the same LAPACK factorization again, gives it
+    sign 0, as it does for a zero pivot alone."""
+    with np.errstate(all="ignore"):
+        inv = np.linalg._umath_linalg.inv(a, signature="D->D", out=out)
+        singular = np.isnan(inv[:, 0, 0].real)
+        if singular.any():
+            sel = singular.nonzero()[0]
+            singular[sel] = np.linalg.slogdet(a[sel])[0] == 0
+    return inv, singular
 
 
 def _inverse_correction(inv: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -628,7 +614,9 @@ def _inverse_correction(inv: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _lu_correction(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return _lapack(np.linalg.solve, a, r[..., None])[0][..., 0]
+    # the gufunc numpy.linalg.solve calls for this shape
+    return np.linalg._umath_linalg.solve(a, r[..., None],
+                                         signature="DD->D")[..., 0]
 
 
 def _refine(a, m, b, x, col_scale, slack, correct):
@@ -680,10 +668,12 @@ def solve_stack(a: np.ndarray, b: np.ndarray):
     why each gap is one (an int8 code per system, 0 for a value).
 
     The stack is equilibrated by powers of two (_equilibrate), so that
-    its systems solve for x = diag(2**col) z, and the systems with a
-    non-finite entry are dropped.  One stacked inverse of the rest gives
-    each system's kappa = ||A||_inf ||inv(A)||_inf (_inf_norm) and rho =
-    8 n u kappa, u = 2**-53, taken as a bound on ||I - inv(A) A||_inf.
+    its systems solve for x = diag(2**col) z, and a system with a
+    non-finite entry is replaced by I x = 0, solved beside the others and
+    marked at the end.  One stacked inverse of the whole stack (_inverse)
+    finds the systems with a zero pivot and gives each system's kappa =
+    ||A||_inf ||inv(A)||_inf (_inf_norm) and rho = 8 n u kappa, u =
+    2**-53, taken as a bound on ||I - inv(A) A||_inf.
 
     - Where rho < INVERSE_RHO, x = inv(A) b, and each correction is
       inv(A) r for the residual r (_residual).  The error left in x
@@ -700,45 +690,37 @@ def solve_stack(a: np.ndarray, b: np.ndarray):
     non-finite entry, a zero pivot, a non-finite iterate and a system
     that does not converge are gaps, and their z is NaN.
     """
-    why = np.zeros(len(a), np.int8)
-    z = np.full(b.shape, np.nan, complex)
-    # the equilibrated stack and its inverse are in the two workspace
-    # buffers "stack0" and "stack1", the inverse in whichever one the
-    # stack is not in: the systems kept of it are gathered into "stack0",
-    # and only with mode "clip" does take write straight into out
-    spare = "stack0"
     with np.errstate(all="ignore"):
+        # the equilibrated stack is in the workspace buffer "stack1", its
+        # inverse in "stack0"
         a, row, col, finite = _equilibrate(
             a, scratch("stack1", a.shape, complex))
         b = rmul(b, np.ldexp(1.0, -row))
         finite &= _across_rows(np.logical_and, np.isfinite(b))
-        why[~finite] = NON_FINITE
-        idx = finite.nonzero()[0]
-        if not idx.size:
-            return z, why
-        if idx.size < len(a):
-            a = np.take(a, idx, axis=0, mode="clip", out=scratch(
-                spare, (idx.size,) + a.shape[1:], complex))
-            b, col = b[idx], col[idx]
-            spare = "stack1"
-        inv, singular = _lapack(_inverse, a,
-                                scratch(spare, a.shape, complex))
+        all_finite = np.logical_and.reduce(finite)
+        if not all_finite:
+            a[~finite] = np.eye(a.shape[1])
+            b[~finite] = 0
+        inv, singular = _inverse(a, scratch("stack0", a.shape, complex))
         rho = 8 * a.shape[1] * 2.0 ** -53 * _inf_norm(a) * _inf_norm(inv)
         col_scale = np.ldexp(1.0, -col)
         # every system takes the inverse's first correction, but one whose
         # rho is not below INVERSE_RHO (NaN where inv is not finite) has
         # a NaN slack, so it leaves with that step and takes LU solves
         fast = rho < INVERSE_RHO
-        z[idx], why[idx] = _refine(
+        z, why = _refine(
             a, inv, b, _inverse_correction(inv, b), col_scale,
             np.where(fast, rho / (1 - rho), np.nan), _inverse_correction)
         lu = (~fast & ~singular).nonzero()[0]
         if lu.size:
             a, b = a[lu], b[lu]
-            z[idx[lu]], why[idx[lu]] = _refine(
+            z[lu], why[lu] = _refine(
                 a, a, b, _lu_correction(a, b), col_scale[lu],
                 np.ones(lu.size), _lu_correction)
-        why[idx[singular]] = ZERO_PIVOT
+        why[singular] = ZERO_PIVOT
+        if not all_finite:
+            why[~finite] = NON_FINITE
+            z[~finite] = np.nan
     return z, why
 
 

@@ -64,6 +64,9 @@ class BreatherChart:
         object.__setattr__(self, "h2", complex(self.h2))
         _check_chart_common(self.lam, self.multiplicity, h1=self.h1,
                             h2=self.h2, l1=self.l1, l2=self.l2, l3=self.l3)
+        if self.l2 == 0 and self.l3 == 0:
+            raise ConfigError("chart l2 and l3 are both 0: psi1 = l2 W12 e2 "
+                              "+ l3 W13 e3 vanishes identically")
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,11 @@ def _check_chart_common(lam: complex, multiplicity: int, **values):
             raise ConfigError(f"chart {name} must be finite, got {v!r}")
     if math.isinf(math.hypot(lam.real, lam.imag)):
         raise ConfigError(f"chart lambda = {lam!r}: its modulus overflows")
-    if lam * lam == 0:  # lambda = 0, or a square the builders divide by
+    square = lam * lam
+    if square == 0:  # lambda = 0, or a square the builders divide by
         raise ConfigError(f"chart lambda = {lam!r}: its square is 0")
+    if cmath.isinf(1 / (4 * square)):  # the builders' 1/(4 lambda^2)
+        raise ConfigError(f"chart lambda = {lam!r}: 1/(4 lambda^2) overflows")
     if multiplicity < 0:
         raise ConfigError("chart multiplicity must be >= 0")
 

@@ -24,7 +24,7 @@ from flwave.cli import SCENARIOS
 from flwave.dt_engine import chunk_points, evaluate_points
 from flwave.numerics import (INVERSE_RHO, NO_CONVERGENCE, NON_FINITE,
                              ZERO_PIVOT, Jet, _equilibrate, _inf_norm,
-                             _inverse, _lapack, _residual, _split, jet_mul,
+                             _lu_correction, _residual, _split, jet_mul,
                              series_mul, solve_stack)
 from flwave.verify import _sample_many
 
@@ -206,12 +206,12 @@ BREATHERS = ("fig2a", "fig2b", "fig2c", "fig2d", "figYa", "figYb", "figYc",
              "figYd", "figYe", "figYf", "figYg", "figYh")
 
 
-def _far_frame(s):
-    """41 x 41 nodes over a frame nine panel widths across."""
+def _far_frame(s, nodes=41):
+    """nodes x nodes over a frame nine panel widths across."""
     g = s.grid
     cx, cy = (g.x_min + g.x_max) / 2, (g.y_min + g.y_max) / 2
     wx, wy = 4.5 * (g.x_max - g.x_min), 4.5 * (g.y_max - g.y_min)
-    return GridSpec(cx - wx, cx + wx, cy - wy, cy + wy, 41, 41, g.t)
+    return GridSpec(cx - wx, cx + wx, cy - wy, cy + wy, nodes, nodes, g.t)
 
 
 @pytest.mark.parametrize("name", BREATHERS)
@@ -249,6 +249,62 @@ def test_multi_fold_far_field_is_masked_or_bounded(name):
     assert (grid.abs_q2[keep] <= bound).all()
 
 
+# the Y breather's frames nine panel widths across hold all three gap
+# codes; at 101 x 101, 31 of figYc's systems have a pivot whose reciprocal
+# overflows, which leaves their inverse all NaN without a zero pivot
+@pytest.mark.parametrize("name,nodes,counts", [
+    ("figYc", 41, [1271, 41, 72]),
+    ("figYg", 41, [1271, 41, 77]),
+    ("figYc", 101, [7575, 254, 500]),
+])
+def test_gap_codes_on_a_far_frame_follow_each_node_alone(monkeypatch, name,
+                                                         nodes, counts):
+    s = SCENARIOS[name]
+    spec = _far_frame(s, nodes)
+    points = [(x, y, spec.t) for y in spec.ys() for x in spec.xs()]
+    stacks = []
+    solve = dt_engine.solve_stack
+
+    def recorded(a, b):
+        stacks.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(dt_engine, "solve_stack", recorded)
+        q1, q2, why = evaluate_points(s.background, s.charts, s.profile,
+                                      points)
+    a, b = (np.concatenate(part) for part in zip(*stacks))
+    assert [np.count_nonzero(why == c) for c in
+            (NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE)] == counts
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    assert ((why == NON_FINITE) == ~finite).all()
+    singular = np.zeros(len(a), bool)
+    for p in finite.nonzero()[0]:
+        try:
+            np.linalg.inv(_equilibrate(a[p:p + 1])[0][0])
+        except np.linalg.LinAlgError:
+            singular[p] = True
+    assert ((why == ZERO_PIVOT) == singular).all()
+    others = np.random.default_rng(31).choice(
+        (~singular).nonzero()[0], 100, replace=False)
+    for p in np.concatenate([singular.nonzero()[0], others]):
+        alone = evaluate_points(s.background, s.charts, s.profile,
+                                [points[p]])
+        assert (q1[p:p + 1].tobytes(), q2[p:p + 1].tobytes(), why[p]) \
+            == (alone[0].tobytes(), alone[1].tobytes(), alone[2][0])
+
+
+def test_an_empty_stack_is_solved_to_empty_arrays():
+    for n in (1, 3, 9):
+        z, why = solve_stack(np.empty((0, n, n), complex),
+                             np.empty((0, n), complex))
+        assert (z.shape, z.dtype, why.shape, why.dtype) \
+            == ((0, n), complex, (0,), np.int8)
+        inv, singular = numerics._inverse(np.empty((0, n, n), complex),
+                                          np.empty((0, n, n), complex))
+        assert inv.shape == (0, n, n) and singular.shape == (0,)
+
+
 # -- stacked kernels (ports of the list-based helpers' tests) -----------------
 
 
@@ -274,44 +330,50 @@ def _stack_with_one_singular_system(bad):
     return a, b
 
 
-def _assert_found_by_bisection(calls, result, singular, bad, alone):
-    assert len(calls) <= 2 * math.ceil(math.log2(576)) + 1
-    assert singular.nonzero()[0].tolist() == [bad]
-    assert np.isnan(result[bad]).all()
-    for p in range(576):
-        if p != bad:
-            assert alone(p).tobytes() == result[p].tobytes()
-
-
 @pytest.mark.parametrize("bad", (0, 300, 575))
-def test_one_singular_system_is_found_by_bisection(monkeypatch, bad):
+def test_one_singular_system_is_found_in_one_lapack_call(monkeypatch, bad):
+    # LAPACK reports each system's zero pivot alone, and the gufunc under
+    # inv fills that system's inverse with NaN and inverts the others
     a, b = _stack_with_one_singular_system(bad)
     calls = []
-    solve = np.linalg.solve
+    inverse = numerics._inverse
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return solve(*args)
+    def counted(a, out):
+        calls.append(len(a))
+        return inverse(a, out)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    x, singular = _lapack(np.linalg.solve, a, b[..., None])
-    _assert_found_by_bisection(
-        calls, x[..., 0], singular, bad,
-        lambda p: solve(a[p:p + 1], b[p:p + 1, :, None])[0, :, 0])
+    monkeypatch.setattr(numerics, "_inverse", counted)
+    z, why = solve_stack(a, b)
+    assert calls == [576]
+    assert why.nonzero()[0].tolist() == [bad] and why[bad] == ZERO_PIVOT
+    inv, singular = inverse(a, np.empty_like(a))
+    assert singular.nonzero()[0].tolist() == [bad]
+    with np.errstate(invalid="ignore"):  # the gufunc flags the zero pivot
+        x = _lu_correction(a, b)
+    for result in (z, inv, x):
+        assert np.isnan(result[bad]).all()
+    for p in range(576):
+        if p != bad:
+            assert np.linalg.inv(a[p]).tobytes() == inv[p].tobytes()
+            assert np.linalg.solve(a[p:p + 1], b[p:p + 1, :, None])[
+                0, :, 0].tobytes() == x[p].tobytes()
+            alone, w = solve_stack(a[p:p + 1], b[p:p + 1])
+            assert w[0] == 0 and alone[0].tobytes() == z[p].tobytes()
 
 
-@pytest.mark.parametrize("bad", (0, 300, 575))
-def test_one_singular_inverse_is_found_by_bisection(bad):
-    a, _ = _stack_with_one_singular_system(bad)
-    calls = []
-
-    def counted(*stacks):
-        calls.append(len(stacks[0]))
-        return _inverse(*stacks)
-
-    inv, singular = _lapack(counted, a, np.empty_like(a))
-    _assert_found_by_bisection(calls, inv, singular, bad,
-                               lambda p: np.linalg.inv(a[p:p + 1])[0])
+def test_a_pivot_whose_reciprocal_overflows_is_not_a_zero_pivot():
+    # LU pivots 0.75, 0.5 and 4e-323: inv succeeds alone, but 1 / 4e-323
+    # overflows and leaves the inverse all NaN; only the second system,
+    # whose third row is the first's double, meets a zero pivot
+    a = np.array([[[0, 0.5, 0.5], [0.75, 2e-323, 0], [0.75, 0, 2e-323]],
+                  [[1, 2, 3], [0, 1, 1], [2, 4, 6]]], complex)
+    with np.errstate(all="ignore"):
+        inv = np.linalg.inv(a[0])
+    assert np.isnan(inv).all()
+    got, singular = numerics._inverse(a, np.empty_like(a))
+    assert np.isnan(got).all() and singular.tolist() == [False, True]
+    _, why = solve_stack(a, np.ones((2, 3), complex))
+    assert why.tolist() == [NO_CONVERGENCE, ZERO_PIVOT]
 
 
 def test_solve_stack_survives_entries_near_the_double_limit():
@@ -402,18 +464,18 @@ def test_systems_with_kappa_up_to_1e3_take_one_residual(monkeypatch):
     a, b = _conditioned_stack(np.geomspace(10.0, 750.0, 24))
     assert (_equilibrated_kappa(a) <= 1e3).all()
     residuals, solves = [], []
-    residual, solve = numerics._residual, np.linalg.solve
+    residual, solve = numerics._residual, numerics._lu_correction
 
     def counted_residual(a, b, x):
         residuals.append(len(b))
         return residual(a, b, x)
 
-    def counted_solve(*args):
-        solves.append(len(args[0]))
-        return solve(*args)
+    def counted_solve(a, r):
+        solves.append(len(a))
+        return solve(a, r)
 
     monkeypatch.setattr(numerics, "_residual", counted_residual)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(numerics, "_lu_correction", counted_solve)
     z, why = solve_stack(a, b)
     assert (why == 0).all()
     assert residuals == [len(a)]
@@ -430,13 +492,13 @@ def test_the_stop_rule_holds_for_an_inverse_as_poor_as_rho_allows(
     rng = np.random.default_rng(23)
 
     def poor(a, out):
-        inv = inverse(a, out)
+        inv, singular = inverse(a, out)
         rho = 8 * a.shape[1] * 2.0 ** -53 * _inf_norm(a) * _inf_norm(inv)
         f = rng.standard_normal(inv.shape) \
             + 1j * rng.standard_normal(inv.shape)
         f *= (rho / 4 / abs(f).sum(axis=2).max(axis=1))[:, None, None]
         inv += np.einsum("pij,pjk->pik", f, inv)
-        return inv
+        return inv, singular
 
     residuals = []
     residual = numerics._residual
@@ -460,13 +522,13 @@ def test_a_system_above_the_threshold_takes_lu_solves(monkeypatch):
     assert rho[4] / 2 > INVERSE_RHO
     assert (np.delete(rho, 4) < INVERSE_RHO).all()
     solves = []
-    solve = np.linalg.solve
+    solve = numerics._lu_correction
 
-    def counted(*args):
-        solves.append(len(args[0]))
-        return solve(*args)
+    def counted(a, r):
+        solves.append(len(a))
+        return solve(a, r)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(numerics, "_lu_correction", counted)
     z, why = solve_stack(a, b)
     assert (why == 0).all()
     # the LU system alone: its first solve and at least one correction

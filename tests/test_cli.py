@@ -148,6 +148,15 @@ def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
     (["soliton", "--lambda", "1.5e308,1.5e308", "--lambda", "1,1"],
      "chart lambda"),
     (["breather", "--lambda", "a,b"], "--lambda wants numbers"),
+    # as 1e-170,0 above: finite lambdas whose 1/(4 lambda^2) overflows
+    (["soliton", "--lambda", "1e-160,0"], "chart lambda"),
+    (["positon", "--lambda", "1e-160,0"], "chart lambda"),
+    (["breather", "--lambda", "1e-160,1e-160"], "chart lambda"),
+    (["hybrid", "--lambda", "1e-160,1e-160"], "chart lambda"),
+    # psi1 = l2 W12 e2 + l3 W13 e3 vanishes
+    (["breather", "--l", "1,0,0"], "chart l2 and l3"),
+    (["ybreather", "--l", "1,0,0"], "chart l2 and l3"),
+    (["hybrid", "--l", "0,0,0"], "chart l2 and l3"),
 ])
 def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
         tmp_path, capsys, argv, field):

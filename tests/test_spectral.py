@@ -227,6 +227,14 @@ def test_breather_requires_symmetric_seed():
                                (0, 0, 0), 0)
 
 
+def test_breather_chart_rejects_l2_and_l3_both_zero():
+    # psi1 = l2 W12 e2 + l3 W13 e3 would vanish at every point
+    with pytest.raises(ConfigError, match="chart l2 and l3"):
+        BreatherChart(0.5 + 0.5j, 1, 0, 0)
+    for l2, l3 in ((1, 0), (0, 1)):
+        assert BreatherChart(0.5 + 0.5j, 0, l2, l3).l2 == l2
+
+
 def test_breather_rejects_degenerate_lambda():
     chart = BreatherChart(LAM_CRIT, 0, 1, 1, 0j, 0j)
     # twice: the check runs in a cached static, which caches no exception
