@@ -330,10 +330,19 @@ def _stack_with_one_singular_system(bad):
     return a, b
 
 
+def _assert_found_in_one_call(calls, result, singular, bad, alone):
+    # a bisection of the stack would take up to 2 ceil(log2 576) + 1
+    # calls; LAPACK reports each system's zero pivot alone, so one does
+    assert calls == [576]
+    assert singular.nonzero()[0].tolist() == [bad]
+    assert np.isnan(result[bad]).all()
+    for p in range(576):
+        if p != bad:
+            assert alone(p).tobytes() == result[p].tobytes()
+
+
 @pytest.mark.parametrize("bad", (0, 300, 575))
-def test_one_singular_system_is_found_in_one_lapack_call(monkeypatch, bad):
-    # LAPACK reports each system's zero pivot alone, and the gufunc under
-    # inv fills that system's inverse with NaN and inverts the others
+def test_one_singular_system_is_found_by_bisection(monkeypatch, bad):
     a, b = _stack_with_one_singular_system(bad)
     calls = []
     inverse = numerics._inverse
@@ -344,21 +353,35 @@ def test_one_singular_system_is_found_in_one_lapack_call(monkeypatch, bad):
 
     monkeypatch.setattr(numerics, "_inverse", counted)
     z, why = solve_stack(a, b)
-    assert calls == [576]
-    assert why.nonzero()[0].tolist() == [bad] and why[bad] == ZERO_PIVOT
-    inv, singular = inverse(a, np.empty_like(a))
-    assert singular.nonzero()[0].tolist() == [bad]
+    assert why[bad] == ZERO_PIVOT
+
+    def alone(p):
+        z, w = solve_stack(a[p:p + 1], b[p:p + 1])
+        assert w[0] == 0
+        return z[0]
+
+    _assert_found_in_one_call(calls, z, why != 0, bad, alone)
     with np.errstate(invalid="ignore"):  # the gufunc flags the zero pivot
         x = _lu_correction(a, b)
-    for result in (z, inv, x):
-        assert np.isnan(result[bad]).all()
-    for p in range(576):
-        if p != bad:
-            assert np.linalg.inv(a[p]).tobytes() == inv[p].tobytes()
-            assert np.linalg.solve(a[p:p + 1], b[p:p + 1, :, None])[
-                0, :, 0].tobytes() == x[p].tobytes()
-            alone, w = solve_stack(a[p:p + 1], b[p:p + 1])
-            assert w[0] == 0 and alone[0].tobytes() == z[p].tobytes()
+    _assert_found_in_one_call(
+        [len(a)], x, np.isnan(x).any(axis=1), bad,
+        lambda p: np.linalg.solve(a[p:p + 1], b[p:p + 1, :, None])[0, :, 0])
+
+
+@pytest.mark.parametrize("bad", (0, 300, 575))
+def test_one_singular_inverse_is_found_by_bisection(bad):
+    # the gufunc under inv fills the singular system's inverse with NaN
+    # and inverts the others
+    a, _ = _stack_with_one_singular_system(bad)
+    calls = []
+
+    def counted(a, out):
+        calls.append(len(a))
+        return numerics._inverse(a, out)
+
+    inv, singular = counted(a, np.empty_like(a))
+    _assert_found_in_one_call(calls, inv, singular, bad,
+                              lambda p: np.linalg.inv(a[p:p + 1])[0])
 
 
 def test_a_pivot_whose_reciprocal_overflows_is_not_a_zero_pivot():
