@@ -382,42 +382,42 @@ def _outputs(args, name: str) -> tuple:
     return tuple((fmt, f"{prefix}.{fmt}") for fmt in formats)
 
 
-def _verify_points(frame: GridSpec, q1) -> list:
-    """Interior on-structure nodes, well separated, singular-free; q1
-    holds the frame's interior nodes, y outer, NaN at gaps."""
-    xs, ys = frame.xs()[1:-1], frame.ys()[1:-1]
-    a, gaps = np.hypot(q1.real, q1.imag), np.isnan(q1)
-    cand = []
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            if not gaps[j, i]:
-                cand.append((float(a[j, i]), x, y))
-    cand.sort(reverse=True)
+def _verify_points(frame: GridSpec, x, y, q1) -> list:
+    """Interior on-structure nodes, well separated, singular-free: the
+    nodes x, y, q1 (NaN at gaps) ranked by descending (|q1|, x, y), each
+    taken unless it lies within a tenth of the frame of one taken."""
+    ok = ~np.isnan(q1)
+    x, y, q1 = x[ok], y[ok], q1[ok]
+    # the (|q1|, x, y) triples are distinct: reversing the ascending
+    # order gives the descending one
+    order = np.lexsort((y, x, np.hypot(q1.real, q1.imag)))[::-1]
     min_sep = max(frame.x_max - frame.x_min, frame.y_max - frame.y_min) / 10
     picked = []
-    for mag, x, y in cand:
-        if any(abs(x - px) + abs(y - py) < min_sep for _, px, py in picked):
+    for x, y in zip(x[order].tolist(), y[order].tolist()):
+        if any(abs(x - px) + abs(y - py) < min_sep for px, py in picked):
             continue
-        picked.append((mag, x, y))
+        picked.append((x, y))
         if len(picked) == VERIFY_POINTS:
             break
-    return [(x, y, frame.t) for _, x, y in picked]
+    return [(x, y, frame.t) for x, y in picked]
 
 
 def verify_scenario(s: Scenario) -> int:
     # check points come from the interior of a coarse copy of the frame,
-    # sampled in one call in this process; then one call per step
+    # sampled in one call in this process; then one call for both steps
     frame = replace(s.grid, nx=VERIFY_NODES, ny=VERIFY_NODES)
     sampler = solution_sampler(s.background, s.charts, s.profile)
-    x, y = np.meshgrid(frame.xs()[1:-1], frame.ys()[1:-1])
-    interior = np.column_stack([x.ravel(), y.ravel(),
-                                np.full(x.size, frame.t)])
-    points = _verify_points(frame, sampler(interior).q1.reshape(x.shape))
+    x, y = (a.ravel() for a in np.meshgrid(frame.xs()[1:-1],
+                                            frame.ys()[1:-1]))
+    interior = np.column_stack([x, y, np.full(x.size, frame.t)])
+    points = _verify_points(frame, x, y, sampler(interior).q1)
     if not points:
         print(f"{s.name}: no usable sample points")
         return 3
-    coarse = pde_residual(sampler, points, VERIFY_STEP)
-    fine = pde_residual(sampler, points, VERIFY_STEP / 2)
+    n = len(points)
+    reports = pde_residual(sampler, points * 2,
+                           [VERIFY_STEP] * n + [VERIFY_STEP / 2] * n)
+    coarse, fine = reports[:n], reports[n:]
     ok = True
     checked = 0
     for pt, c, f in zip(points, coarse, fine):

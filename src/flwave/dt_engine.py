@@ -36,8 +36,9 @@ from .model import (DeformationProfile, PlaneWaveSeed, SeedBackground,
                     ZeroBackground, _number, background_field, grid_from_json,
                     profile_from_json, seed_from_json)
 from .numerics import (GAP_REASONS, NON_FINITE, Jet, _frozen, jet_div,
-                       jet_mul, scratch, series_mul, solve_stack)
-from .spectral import (BreatherChart, RogueChart, SpectralChart,
+                       jet_mul, scratch, series_exp, series_mul,
+                       solve_stack)
+from .spectral import (FORMS, BreatherChart, RogueChart, SpectralChart,
                        ZeroSeedChart, chart_jets, critical_lambda)
 
 # fold count cap; conditioning of the 3N x 3N (or reduced 2N x 2N) systems
@@ -254,6 +255,33 @@ def check_compat(background: SeedBackground, config: DtConfig):
             raise ConfigError("zero-seed charts require the zero background")
 
 
+@lru_cache(maxsize=None)
+def _check_scale(background: SeedBackground, config: DtConfig):
+    """ConfigError where a chart's Omega_1 entries overflow at unit
+    coordinates; once per seed and transformation, on the cached forms
+    the first chunk reads.  Entry coefficient c is that of lambda^m phi;
+    for m = -N it is bounded by the jet of |lambda^-N| times exp of the
+    form's exponent coefficients 1.. at |x|, |y|, |t| <= 1.  A tiny
+    lambda makes it about |lambda|^-(N+3c) for a zero-seed chart, whose
+    phase's y/(4 lambda^2) gives lambda^-3 per order."""
+    n = config.folds
+    for chart in config.charts:
+        power = _jet_power(chart)
+        k = power * chart.multiplicity + 1
+        theta = np.zeros((k, 1), complex)
+        for term in FORMS[type(chart)](chart, background, k - 1).exponent:
+            if term is not None:
+                theta[1:, 0] += np.abs(term).max(axis=(0, 2))[1:k]
+        with np.errstate(all="ignore"):
+            bound = np.convolve(
+                np.abs(_power_jets(chart.lam, k - 1, power, n)[0]),
+                series_exp(theta)[:, 0].real)[:k]
+        # a huge lambda makes NaN jets, not an overflow: only inf is one
+        if np.isinf(bound).any():
+            raise ConfigError(f"chart lambda = {chart.lam!r}: its Omega_1 "
+                              f"entries overflow at N = {n}")
+
+
 def _plane_wave(background: SeedBackground) -> PlaneWaveSeed:
     """The background, if breather and rogue charts can stand on it."""
     if isinstance(background, ZeroBackground):
@@ -375,6 +403,7 @@ def evaluate_points(background: SeedBackground, config: DtConfig,
     chunk.
     """
     check_compat(background, config)
+    _check_scale(background, config)
     # one contiguous row per coordinate, as the one-point call has it
     cols = np.array(np.reshape(np.asarray(points, float), (-1, 3)).T)
     size = cols.shape[1]

@@ -68,22 +68,23 @@ def _sample_many(sampler, points):
 
 
 def _stencils(sampler, points, offsets) -> list:
-    """For each point, the FieldSample at point + each (dx, dy, dt)
+    """For each point and its list of (dx, dy, dt) offsets (offsets[k]
+    for points[k], all of one length), the FieldSample at point + each
     offset, all from one call of the engine's sampler.  A gap inside a
     stencil leaves its check unformed, so it raises NumericError (not a
     SingularPointError) naming the first check point whose stencil hits
     one, and the first offset that does."""
     q1, q2 = _sample_many(sampler, [(x + dx, y + dy, t + dt)
-                                    for x, y, t in points
-                                    for dx, dy, dt in offsets])
+                                    for (x, y, t), offs in zip(points, offsets)
+                                    for dx, dy, dt in offs])
+    n = len(offsets[0]) if offsets else 0
     gaps = np.isnan(q1) | np.isnan(q2)
     if gaps.any():
-        k, o = divmod(int(np.argmax(gaps)), len(offsets))
-        raise NumericError(f"singular sample at offset {offsets[o]} "
+        k, o = divmod(int(np.argmax(gaps)), n)
+        raise NumericError(f"singular sample at offset {offsets[k][o]} "
                            f"of check point {points[k]}")
     samples = [FieldSample(a, b) for a, b in zip(q1.tolist(), q2.tolist())]
-    n = len(offsets)
-    return [samples[k:k + n] for k in range(0, len(samples), n)]
+    return [samples[k * n:(k + 1) * n] for k in range(len(points))]
 
 
 # pde_residual's stencil: the base point, the two x neighbours, and the
@@ -100,28 +101,31 @@ def pde_residual(sampler, points, step: float = 1e-3):
     central difference.  Everything is second order in the step.  At one
     point (x, y, t), its ResidualReport; at a (P, 3) array of points, a
     list of P reports, whose 11 P samples are one call of the engine's
-    sampler.  A report does not depend on the other points of its call:
+    sampler.  step is one step for every point, or P steps, one per
+    point.  A report does not depend on the other points of its call:
     the arithmetic is per point, in Python complex.
     """
     one = np.ndim(points) == 1
     points = ([tuple(points)] if one
               else [tuple(p) for p in np.asarray(points, float).tolist()])
-    h = step
+    steps = ([step] * len(points) if np.isscalar(step)
+             else np.broadcast_to(step, len(points)).tolist())
     stencils = _stencils(sampler, points,
-                         [(i * h, j * h, k * h) for i, j, k in _PDE_OFFSETS])
+                         [[(i * h, j * h, k * h) for i, j, k in _PDE_OFFSETS]
+                          for h in steps])
 
-    def second(ppa, pma, mpa, mma):
+    def second(h, ppa, pma, mpa, mma):
         return (ppa - pma - mpa + mma) / (4 * h * h)
 
     reports = []
-    for point, (c, xp, xm, pp_t, pm_t, mp_t, mm_t,
-                pp_y, pm_y, mp_y, mm_y) in zip(points, stencils):
+    for point, h, (c, xp, xm, pp_t, pm_t, mp_t, mm_t,
+                   pp_y, pm_y, mp_y, mm_y) in zip(points, steps, stencils):
         q1x = (xp.q1 - xm.q1) / (2 * h)
         q2x = (xp.q2 - xm.q2) / (2 * h)
-        q1xt = second(pp_t.q1, pm_t.q1, mp_t.q1, mm_t.q1)
-        q2xt = second(pp_t.q2, pm_t.q2, mp_t.q2, mm_t.q2)
-        q1xy = second(pp_y.q1, pm_y.q1, mp_y.q1, mm_y.q1)
-        q2xy = second(pp_y.q2, pm_y.q2, mp_y.q2, mm_y.q2)
+        q1xt = second(h, pp_t.q1, pm_t.q1, mp_t.q1, mm_t.q1)
+        q2xt = second(h, pp_t.q2, pm_t.q2, mp_t.q2, mm_t.q2)
+        q1xy = second(h, pp_y.q1, pm_y.q1, mp_y.q1, mm_y.q1)
+        q2xy = second(h, pp_y.q2, pm_y.q2, mp_y.q2, mm_y.q2)
 
         a1 = abs(c.q1) ** 2
         a2 = abs(c.q2) ** 2
@@ -129,7 +133,7 @@ def pde_residual(sampler, points, step: float = 1e-3):
               + 0.5 * a2 * q1x + 0.5 * c.q1 * c.q2.conjugate() * q2x)
         r2 = (1j * q2xt - 1j * q2xy + 1j * c.q2 + a2 * q2x + 2 * q2x
               + 0.5 * a1 * q2x + 0.5 * c.q2 * c.q1.conjugate() * q1x)
-        reports.append(ResidualReport(r1, r2, step, point))
+        reports.append(ResidualReport(r1, r2, h, point))
     return reports[0] if one else reports
 
 
@@ -181,7 +185,7 @@ def lax_residual(phi_sampler, field_sampler, lam: complex, point,
     h = step
     x, y, t = point
     c, xp, xm = _stencils(field_sampler, [point],
-                          [(0.0, 0.0, 0.0), (h, 0.0, 0.0), (-h, 0.0, 0.0)])[0]
+                          [[(0.0, 0.0, 0.0), (h, 0.0, 0.0), (-h, 0.0, 0.0)]])[0]
     try:
         phi_c = _phi_vec(phi_sampler, point)
         phi_xp = _phi_vec(phi_sampler, (x + h, y, t))
@@ -215,7 +219,7 @@ def zero_curvature_residual(field_sampler, lam: complex, point,
         [(dx, dy, dt) for dy, dt in shifts for dx in (h, -h)]
         + [(dx, 0.0, 0.0) for dx in (h, -h, 0.0)]))
     samples = dict(zip(offsets,
-                       _stencils(field_sampler, [point], offsets)[0]))
+                       _stencils(field_sampler, [point], [offsets])[0]))
 
     def U_at(dy: float, dt: float) -> np.ndarray:
         fp, fm = samples[(h, dy, dt)], samples[(-h, dy, dt)]

@@ -732,6 +732,12 @@ def test_pde_residual_of_many_points_equals_one_point_calls(name):
               >= 0.1][:2]
     assert len(points) == 2
     _assert_many_equal_one(sampler, points)
+    # one step per point, as verify passes its points at h and h/2
+    steps = [1e-3] * 2 + [5e-4] * 2
+    both = pde_residual(sampler, np.array(points * 2), steps)
+    for point, step, report in zip(points * 2, steps, both):
+        assert repr(report) == repr(
+            _reference_pde_residual(sampler, point, step))
 
 
 def test_pde_residual_of_many_points_samples_point_by_point():

@@ -157,6 +157,14 @@ def test_breather_lambda_at_a_root_of_S_exits_2(tmp_path, capsys):
     (["breather", "--l", "1,0,0"], "chart l2 and l3"),
     (["ybreather", "--l", "1,0,0"], "chart l2 and l3"),
     (["hybrid", "--l", "0,0,0"], "chart l2 and l3"),
+    # lambda^-N times the jet of the phase's y/(4 lambda^2) overflows at
+    # unit coordinates: these runs once exited 3, every node off y = 0
+    # non-finite
+    (["positon", "--lambda", "1e-80,0"], "chart lambda = (1e-80+0j)"),
+    (["positon", "--lambda", "1e-70,0"], "chart lambda = (1e-70+0j)"),
+    (["soliton", "--lambda", "0.5,1", "--lambda", "-0.7,0.8",
+      "--lambda", "0.3,1.2", "--lambda", "1e-80,0"],
+     "chart lambda = (1e-80+0j)"),
 ])
 def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
         tmp_path, capsys, argv, field):
@@ -166,6 +174,21 @@ def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
     err = capsys.readouterr().err
     assert err.startswith("flwave: ")
     assert field in err
+
+
+# tiny lambdas whose Omega_1 entries stay finite: every node is a value
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--lambda", "1e-150,0"],
+    ["soliton", "--lambda", "0.5,1", "--lambda", "-0.7,0.8",
+     "--lambda", "1e-90,0"],
+    ["soliton", "--lambda", "0.5,1", "--lambda", "-0.7,0.8",
+     "--lambda", "0.3,1.2", "--lambda", "1e-75,0"],
+])
+def test_tiny_lambda_whose_entries_stay_finite_runs(tmp_path, capsys, argv):
+    rc = main(argv + ["--grid", "-1,1,3,-1,1,3", "--format", "csv",
+                      "--out", str(tmp_path / "p")])
+    assert rc == 0
+    assert "singular 0 " in capsys.readouterr().out
 
 
 def test_unwritable_output_exits_4(capsys):
@@ -384,8 +407,8 @@ def test_hybrid_lambda_just_off_critical_runs_as_a_breather(tmp_path):
 
 
 def test_verify_picks_points_on_a_small_serial_frame(monkeypatch, capsys):
-    # the 19 x 19 interior of a 21 x 21 frame in one call, then one
-    # 5-point stencil batch per step, all in this process
+    # the 19 x 19 interior of a 21 x 21 frame in one call, then the
+    # 5-point stencils at both steps in one call, all in this process
     calls = []
     inner = dt_engine.evaluate_points
 
@@ -396,7 +419,7 @@ def test_verify_picks_points_on_a_small_serial_frame(monkeypatch, capsys):
     monkeypatch.setattr(dt_engine, "evaluate_points", counted)
     assert main(["verify", "fig3a"]) == 0
     assert "fig3a: verify PASS" in capsys.readouterr().out
-    assert calls == [361, 55, 55]
+    assert calls == [361, 110]
 
 
 def test_verify_that_checks_no_ratio_fails(monkeypatch, capsys):
