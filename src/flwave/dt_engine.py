@@ -397,8 +397,9 @@ def evaluate_points(background: SeedBackground, config: DtConfig,
     Returns complex arrays q1, q2, NaN at gaps, and an int8 array saying
     why each gap is one (numerics.GAP_REASONS; 0 for a value).  A gap is
     a point whose Omega_1 has a zero pivot or a non-finite entry (as an
-    overflowed exponential leaves), whose solution or field is not finite,
-    or whose refined solve does not converge.  The points are evaluated
+    overflowed exponential leaves) or is too ill-conditioned for an error
+    bound, whose solution or field is not finite, or whose refined solve
+    does not converge.  The points are evaluated
     chunk_points(config) at a time; each one's value is the same in any
     chunk.
     """

@@ -21,5 +21,6 @@ class NumericError(FlwaveError):
 
 class SingularPointError(NumericError):
     """The sample is a gap, not a value: Omega_1 is singular or not finite,
-    its refined solve did not converge, or the eigenfunction jets left the
-    representable range."""
+    too ill-conditioned for any error bound, or its refined solve did not
+    converge, or the eigenfunction jets left the representable range
+    (numerics.GAP_REASONS names each case)."""

@@ -19,11 +19,11 @@ inverse, decides how it is refined against residuals computed with
 error-free transformations (Dekker's TwoProd, Knuth's TwoSum; Ogita,
 Rump & Oishi, SIAM J. Sci. Comput. 26, 2005):
 
-- a well-conditioned system takes its corrections from the inverse, and
-  stops once an error bound from its condition number is met (Demmel et
-  al., ACM TOMS 32, 2006), which most systems meet after one residual;
-- the others are corrected by stacked LU solves until the last
-  correction is small.
+- every system whose condition number bounds the error takes its
+  corrections from the inverse, and stops once that bound is met (Demmel
+  et al., ACM TOMS 32, 2006), which most systems meet after one residual;
+- one whose condition number is too large to bound anything is a gap
+  (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7, 12).
 
 The large temporaries of an evaluation chunk live in a per-thread
 workspace (`scratch`): flat buffers that only grow and are reused from
@@ -48,12 +48,13 @@ from .errors import ConfigError
 ZERO_COEFF_RATIO = 1e-12
 
 # why a sample is a gap; 0 means it is a value
-NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE = 2, 3, 4
+NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE, ILL_CONDITIONED = 2, 3, 4, 5
 GAP_REASONS = {
     NON_FINITE: "non-finite matrix, right-hand side or result, as where "
                 "an exponential overflows",
     ZERO_PIVOT: "zero pivot: the matrix is singular",
     NO_CONVERGENCE: "iterative refinement did not converge",
+    ILL_CONDITIONED: "condition too large to bound the error",
 }
 
 
@@ -406,10 +407,14 @@ def series_exp(a: np.ndarray) -> np.ndarray:
 
 # refinement stops once the last correction is this small next to z
 REFINE_TOL = 2.0 ** -50
-MAX_CORRECTIONS = 3
-# a system takes its corrections from the stacked inverse where rho =
-# 8 n u kappa is below this, so that the inverse's own norm can be trusted
+# near rho = 0.05 (kappa 1e13 for n = 6) each correction shrinks the error
+# only by about kappa u, and three corrections can fall short there
+MAX_CORRECTIONS = 4
+# where rho = 8 n u kappa is below INVERSE_RHO the inverse's own norm is
+# trusted to weigh each correction; where it is not below MAX_RHO no error
+# bound exists, and the system is a gap
 INVERSE_RHO = 2.0 ** -20
+MAX_RHO = 0.5
 
 _SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 
@@ -613,18 +618,12 @@ def _inverse_correction(inv: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("pij,pj->pi", inv, r)
 
 
-def _lu_correction(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # the gufunc numpy.linalg.solve calls for this shape
-    return np.linalg._umath_linalg.solve(a, r[..., None],
-                                         signature="DD->D")[..., 0]
-
-
-def _refine(a, m, b, x, col_scale, slack, correct):
+def _refine(a, inv, b, x, col_scale, slack):
     """z = diag(col_scale) x of each system a x = b of an equilibrated
     stack, refined from the iterate x, and why each gap is one.
 
-    Each step adds correct(m, r) to x, r being the residual (_residual)
-    and m a itself or its inverse.  A system is done once slack * dz <=
+    Each step adds inv r to x, r being the residual (_residual) and inv
+    the system's inverse.  A system is done once slack * dz <=
     REFINE_TOL * max|z|, dz being its last correction on z's own scale;
     the others take another step, at most MAX_CORRECTIONS in all.  Those
     whose iterate is not finite, or whose slack is NaN, or that do not
@@ -637,10 +636,9 @@ def _refine(a, m, b, x, col_scale, slack, correct):
             sel = keep.nonzero()[0]
             if not sel.size:
                 break
-            a, m = a[sel], (a[sel] if m is a else m[sel])
-            at, b, x, col_scale, slack = (v[sel] for v in
-                                          (at, b, x, col_scale, slack))
-        dx = correct(m, _residual(a, b, x))
+            at, a, inv, b, x, col_scale, slack = (
+                v[sel] for v in (at, a, inv, b, x, col_scale, slack))
+        dx = _inverse_correction(inv, _residual(a, b, x))
         x = x + dx
         zs = rmul(x, col_scale)
         # a non-finite entry makes its row's maximum non-finite
@@ -675,20 +673,26 @@ def solve_stack(a: np.ndarray, b: np.ndarray):
     ||A||_inf ||inv(A)||_inf (_inf_norm) and rho = 8 n u kappa, u =
     2**-53, taken as a bound on ||I - inv(A) A||_inf.
 
-    - Where rho < INVERSE_RHO, x = inv(A) b, and each correction is
-      inv(A) r for the residual r (_residual).  The error left in x
-      after a correction dx is then at most rho / (1 - rho) ||dx||_inf.
-      That bound holds in the equilibrated unknowns x, not in z; the
-      rule weighs it on z's own scale, as the LU rule below weighs its
-      corrections: a system stops once rho / (1 - rho) dz <= REFINE_TOL
-      max|z|, dz being its largest |correction| of z.  Most systems stop
-      after one residual.
-    - The others are solved and corrected by stacked LU solves, and stop
-      once dz <= REFINE_TOL max|z|.
+    Every system starts from x = inv(A) b and is corrected by inv(A) r
+    for the residual r (_residual), at most MAX_CORRECTIONS times
+    (_refine).  The error left in x after a correction dx is at most
+    rho / (1 - rho) ||dx||_inf.  That bound holds in the equilibrated
+    unknowns x, not in z; the rule weighs it on z's own scale: a system
+    stops once slack dz <= REFINE_TOL max|z|, dz being its largest
+    |correction| of z.
 
-    Either takes at most MAX_CORRECTIONS corrections (_refine).  A
-    non-finite entry, a zero pivot, a non-finite iterate and a system
-    that does not converge are gaps, and their z is NaN.
+    - Where rho < INVERSE_RHO, the slack is rho / (1 - rho), and most
+      systems stop after one residual.
+    - Where INVERSE_RHO <= rho < MAX_RHO, the inverse's norm is not
+      trusted to weigh the correction, and the slack is 1: a system
+      stops once its last correction is small.
+    - Where rho is not below MAX_RHO (or is NaN, from an inverse that is
+      not finite), no error bound exists: the system is an
+      ILL_CONDITIONED gap.
+
+    A non-finite entry, a zero pivot, a non-finite iterate, a system that
+    does not converge and an ill-conditioned one are gaps, and their z is
+    NaN.
     """
     with np.errstate(all="ignore"):
         # the equilibrated stack is in the workspace buffer "stack1", its
@@ -704,19 +708,12 @@ def solve_stack(a: np.ndarray, b: np.ndarray):
         inv, singular = _inverse(a, scratch("stack0", a.shape, complex))
         rho = 8 * a.shape[1] * 2.0 ** -53 * _inf_norm(a) * _inf_norm(inv)
         col_scale = np.ldexp(1.0, -col)
-        # every system takes the inverse's first correction, but one whose
-        # rho is not below INVERSE_RHO (NaN where inv is not finite) has
-        # a NaN slack, so it leaves with that step and takes LU solves
-        fast = rho < INVERSE_RHO
-        z, why = _refine(
-            a, inv, b, _inverse_correction(inv, b), col_scale,
-            np.where(fast, rho / (1 - rho), np.nan), _inverse_correction)
-        lu = (~fast & ~singular).nonzero()[0]
-        if lu.size:
-            a, b = a[lu], b[lu]
-            z[lu], why[lu] = _refine(
-                a, a, b, _lu_correction(a, b), col_scale[lu],
-                np.ones(lu.size), _lu_correction)
+        # a NaN slack (rho not below MAX_RHO) leaves after the first step
+        slack = np.where(rho < INVERSE_RHO, rho / (1 - rho),
+                         np.where(rho < MAX_RHO, 1.0, np.nan))
+        z, why = _refine(a, inv, b, _inverse_correction(inv, b), col_scale,
+                         slack)
+        why[~(rho < MAX_RHO)] = ILL_CONDITIONED
         why[singular] = ZERO_PIVOT
         if not all_finite:
             why[~finite] = NON_FINITE

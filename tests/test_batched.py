@@ -1,6 +1,6 @@
 """The batched engine: a node's value does not depend on its chunk, gaps
 stay inside their own system of a stack, the refined solve meets its
-error bound on both of its paths, the stacked kernels agree with the
+error bound or marks the system a gap, the stacked kernels agree with the
 list-based jet arithmetic, and the callers batch their points."""
 
 import dataclasses
@@ -22,10 +22,10 @@ from flwave import (DeformationProfile, DtConfig, FieldSample, GridSpec,
                     zero_seed_eigenfunction)
 from flwave.cli import SCENARIOS
 from flwave.dt_engine import chunk_points, evaluate_points
-from flwave.numerics import (INVERSE_RHO, NO_CONVERGENCE, NON_FINITE,
-                             ZERO_PIVOT, Jet, _equilibrate, _inf_norm,
-                             _lu_correction, _residual, _split, jet_mul,
-                             series_mul, solve_stack)
+from flwave.numerics import (ILL_CONDITIONED, INVERSE_RHO, MAX_RHO,
+                             NO_CONVERGENCE, NON_FINITE, ZERO_PIVOT, Jet,
+                             _equilibrate, _inf_norm, _residual, _split,
+                             jet_mul, series_mul, solve_stack)
 from flwave.verify import _sample_many
 
 SEED_R = PlaneWaveSeed(-0.5, -0.5, -1, -1, 1, 1)
@@ -161,12 +161,13 @@ def test_one_point_face_names_the_gap():
                                     (400.0, 0.0, 0.0))
     with pytest.raises(SingularPointError, match="non-finite"):
         dt_engine.evaluate_solution(SEED_R, ROGUE, LIN, (1e308, 0.0, 0.0))
-    # far from the Y breather Omega_1 is singular once rounded to doubles
+    # far from the Y breather Omega_1 is too ill-conditioned, once rounded
+    # to doubles, for its inverse to bound the error
     s = SCENARIOS["figYa"]
     _, _, why = evaluate_points(s.background, s.charts, s.profile,
                                 [(-80.0, -80.0, 0.0)])
-    assert why[0] == NO_CONVERGENCE
-    with pytest.raises(SingularPointError, match="did not converge"):
+    assert why[0] == ILL_CONDITIONED
+    with pytest.raises(SingularPointError, match="condition too large"):
         dt_engine.evaluate_solution(s.background, s.charts, s.profile,
                                     (-80.0, -80.0, 0.0))
 
@@ -223,15 +224,8 @@ def test_breather_far_field_is_masked_or_bounded(name):
     assert (grid.abs_q1[~grid.mask] <= 3 * s.background.d1).all()
 
 
-# unmasked far-field spikes past the bound (ROADMAP item 9): fig5c
-# reaches 13.8 d, fig6d and fig6e 28.1 d, fig6f 4.2e31 d
-FAR_FIELD_SPIKES = pytest.mark.xfail(
-    strict=True, reason="unmasked far-field spikes past (2N+1) d, "
-    "ROADMAP item 9")
 PLANE_WAVE_MULTI = [
-    pytest.param(name, marks=FAR_FIELD_SPIKES)
-    if name in ("fig5c", "fig6d", "fig6e", "fig6f") else name
-    for name in sorted(SCENARIOS)
+    name for name in sorted(SCENARIOS)
     if not isinstance(SCENARIOS[name].background, ZeroBackground)
     and SCENARIOS[name].charts.folds >= 2]
 
@@ -239,7 +233,8 @@ PLANE_WAVE_MULTI = [
 @pytest.mark.parametrize("name", PLANE_WAVE_MULTI)
 def test_multi_fold_far_field_is_masked_or_bounded(name):
     # an N-fold rogue wave peaks at (2N+1) d; the largest unmasked value
-    # of the panels that pass is 2.9 d (fig5d)
+    # is 2.23 d (fig5c).  The nodes of fig5c, fig6d, fig6e and fig6f past
+    # the bound (up to 4.2e31 d) have rho >= 1e3, and are ILL_CONDITIONED
     s = SCENARIOS[name]
     grid = evaluate_grid(s.background, s.charts, s.profile, _far_frame(s))
     bound = (2 * s.charts.folds + 1) * max(s.background.d1,
@@ -249,13 +244,14 @@ def test_multi_fold_far_field_is_masked_or_bounded(name):
     assert (grid.abs_q2[keep] <= bound).all()
 
 
-# the Y breather's frames nine panel widths across hold all three gap
-# codes; at 101 x 101, 31 of figYc's systems have a pivot whose reciprocal
-# overflows, which leaves their inverse all NaN without a zero pivot
+# the Y breather's frames nine panel widths across hold every gap code
+# but NO_CONVERGENCE; at 101 x 101, 31 of figYc's systems have a pivot
+# whose reciprocal overflows, which leaves their inverse all NaN without
+# a zero pivot: those are ILL_CONDITIONED
 @pytest.mark.parametrize("name,nodes,counts", [
-    ("figYc", 41, [1271, 41, 72]),
-    ("figYg", 41, [1271, 41, 77]),
-    ("figYc", 101, [7575, 254, 500]),
+    ("figYc", 41, [1271, 41, 0, 107]),
+    ("figYg", 41, [1271, 41, 0, 110]),
+    ("figYc", 101, [7575, 254, 0, 640]),
 ])
 def test_gap_codes_on_a_far_frame_follow_each_node_alone(monkeypatch, name,
                                                          nodes, counts):
@@ -275,7 +271,8 @@ def test_gap_codes_on_a_far_frame_follow_each_node_alone(monkeypatch, name,
                                       points)
     a, b = (np.concatenate(part) for part in zip(*stacks))
     assert [np.count_nonzero(why == c) for c in
-            (NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE)] == counts
+            (NON_FINITE, ZERO_PIVOT, NO_CONVERGENCE, ILL_CONDITIONED)] \
+        == counts
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
     assert ((why == NON_FINITE) == ~finite).all()
     singular = np.zeros(len(a), bool)
@@ -285,6 +282,8 @@ def test_gap_codes_on_a_far_frame_follow_each_node_alone(monkeypatch, name,
         except np.linalg.LinAlgError:
             singular[p] = True
     assert ((why == ZERO_PIVOT) == singular).all()
+    ill = finite & ~singular & ~(_engine_rho(a) < MAX_RHO)
+    assert ((why == ILL_CONDITIONED) == ill).all()
     others = np.random.default_rng(31).choice(
         (~singular).nonzero()[0], 100, replace=False)
     for p in np.concatenate([singular.nonzero()[0], others]):
@@ -361,11 +360,6 @@ def test_one_singular_system_is_found_by_bisection(monkeypatch, bad):
         return z[0]
 
     _assert_found_in_one_call(calls, z, why != 0, bad, alone)
-    with np.errstate(invalid="ignore"):  # the gufunc flags the zero pivot
-        x = _lu_correction(a, b)
-    _assert_found_in_one_call(
-        [len(a)], x, np.isnan(x).any(axis=1), bad,
-        lambda p: np.linalg.solve(a[p:p + 1], b[p:p + 1, :, None])[0, :, 0])
 
 
 @pytest.mark.parametrize("bad", (0, 300, 575))
@@ -396,7 +390,7 @@ def test_a_pivot_whose_reciprocal_overflows_is_not_a_zero_pivot():
     got, singular = numerics._inverse(a, np.empty_like(a))
     assert np.isnan(got).all() and singular.tolist() == [False, True]
     _, why = solve_stack(a, np.ones((2, 3), complex))
-    assert why.tolist() == [NO_CONVERGENCE, ZERO_PIVOT]
+    assert why.tolist() == [ILL_CONDITIONED, ZERO_PIVOT]
 
 
 def test_solve_stack_survives_entries_near_the_double_limit():
@@ -425,7 +419,7 @@ def test_ill_conditioned_system_is_solved_exactly_inside_a_stack():
         assert abs(Fraction(got.real) - w) <= 2 ** -52 * abs(w)
 
 
-# -- the refined solve's two paths and its stopping rule ----------------------
+# -- the refined solve's stopping rule and its verdict ------------------------
 
 
 def _equilibrated_kappa(a):
@@ -433,6 +427,15 @@ def _equilibrated_kappa(a):
     return np.array([np.linalg.norm(m, np.inf)
                      * np.linalg.norm(np.linalg.inv(m), np.inf)
                      for m in _equilibrate(a)[0]])
+
+
+def _engine_rho(a):
+    """rho = 8 n u kappa of each system, as solve_stack reads it: NaN where
+    the inverse is not finite."""
+    with np.errstate(all="ignore"):
+        eq = _equilibrate(a)[0]
+        inv, _ = numerics._inverse(eq, np.empty_like(eq))
+        return 8 * a.shape[1] * 2.0 ** -53 * _inf_norm(eq) * _inf_norm(inv)
 
 
 def _conditioned_stack(kappas, n=6, seed=17):
@@ -476,33 +479,40 @@ def test_solve_stack_matches_the_oracle_from_kappa_1e1_to_1e12():
     kappas = np.repeat(10.0 ** np.arange(1, 13), 2)
     a, b = _conditioned_stack(kappas)
     z, why = solve_stack(a, b)
-    # three LU corrections may fall short of REFINE_TOL past 1e11: such a
-    # system is a gap, never a wrong value
-    assert (why[kappas <= 1e11] == 0).all()
-    assert set(why[kappas > 1e11]) <= {0, NO_CONVERGENCE}
+    assert (why == 0).all()
+    _assert_matches_oracle(z, a, b, range(len(a)))
+
+
+@pytest.mark.parametrize("seed", (17, 18, 19, 20))
+def test_systems_past_kappa_1e11_are_values_or_named_gaps(seed):
+    # each system is a value that meets the oracle, a gap that did not
+    # converge (near kappa 1e14, rho about 0.4) or, exactly where rho is
+    # not below MAX_RHO (from kappa 1e15), an ill-conditioned gap
+    kappas = np.repeat(10.0 ** np.arange(11, 17), 2)
+    a, b = _conditioned_stack(kappas, seed=seed)
+    z, why = solve_stack(a, b)
+    assert set(why.tolist()) <= {0, NO_CONVERGENCE, ILL_CONDITIONED}
+    assert ((why == ILL_CONDITIONED) == ~(_engine_rho(a) < MAX_RHO)).all()
+    assert (why[kappas <= 1e13] == 0).all()
+    assert (why[kappas >= 1e15] == ILL_CONDITIONED).all()
+    assert np.isnan(z[why != 0]).all()
     _assert_matches_oracle(z, a, b, (why == 0).nonzero()[0])
 
 
 def test_systems_with_kappa_up_to_1e3_take_one_residual(monkeypatch):
     a, b = _conditioned_stack(np.geomspace(10.0, 750.0, 24))
     assert (_equilibrated_kappa(a) <= 1e3).all()
-    residuals, solves = [], []
-    residual, solve = numerics._residual, numerics._lu_correction
+    residuals = []
+    residual = numerics._residual
 
-    def counted_residual(a, b, x):
+    def counted(a, b, x):
         residuals.append(len(b))
         return residual(a, b, x)
 
-    def counted_solve(a, r):
-        solves.append(len(a))
-        return solve(a, r)
-
-    monkeypatch.setattr(numerics, "_residual", counted_residual)
-    monkeypatch.setattr(numerics, "_lu_correction", counted_solve)
+    monkeypatch.setattr(numerics, "_residual", counted)
     z, why = solve_stack(a, b)
     assert (why == 0).all()
     assert residuals == [len(a)]
-    assert solves == []
 
 
 def test_the_stop_rule_holds_for_an_inverse_as_poor_as_rho_allows(
@@ -538,24 +548,25 @@ def test_the_stop_rule_holds_for_an_inverse_as_poor_as_rho_allows(
     _assert_matches_oracle(z, a, b, range(len(a)))
 
 
-def test_a_system_above_the_threshold_takes_lu_solves(monkeypatch):
+def test_a_system_above_the_threshold_refines_with_the_inverse(monkeypatch):
     a, b = _conditioned_stack([1e2] * 4 + [1e10] + [1e2] * 4)
-    rho = 8 * 6 * 2.0 ** -53 * _equilibrated_kappa(a)
-    # the engine's norms read at most sqrt(2) low, each
-    assert rho[4] / 2 > INVERSE_RHO
+    rho = _engine_rho(a)
+    assert INVERSE_RHO <= rho[4] < MAX_RHO
     assert (np.delete(rho, 4) < INVERSE_RHO).all()
-    solves = []
-    solve = numerics._lu_correction
+    residuals = []
+    residual = numerics._residual
 
-    def counted(a, r):
-        solves.append(len(a))
-        return solve(a, r)
+    def counted(a, b, x):
+        residuals.append(len(b))
+        return residual(a, b, x)
 
-    monkeypatch.setattr(numerics, "_lu_correction", counted)
+    monkeypatch.setattr(numerics, "_residual", counted)
     z, why = solve_stack(a, b)
     assert (why == 0).all()
-    # the LU system alone: its first solve and at least one correction
-    assert len(solves) >= 2 and set(solves) == {1}
+    # with a slack of 1 it alone takes a second correction, or more
+    assert residuals[0] == 9 and len(residuals) >= 2
+    assert set(residuals[1:]) == {1}
+    _assert_matches_oracle(z, a, b, range(len(a)))
     alone, _ = solve_stack(a[4:5], b[4:5])
     assert alone[0].tobytes() == z[4].tobytes()
 

@@ -179,16 +179,30 @@ def test_bad_chart_or_seed_value_exits_2_and_names_the_field(
 # tiny lambdas whose Omega_1 entries stay finite: every node is a value
 @pytest.mark.parametrize("argv", [
     ["soliton", "--lambda", "1e-150,0"],
-    ["soliton", "--lambda", "0.5,1", "--lambda", "-0.7,0.8",
-     "--lambda", "1e-90,0"],
-    ["soliton", "--lambda", "0.5,1", "--lambda", "-0.7,0.8",
-     "--lambda", "0.3,1.2", "--lambda", "1e-75,0"],
 ])
 def test_tiny_lambda_whose_entries_stay_finite_runs(tmp_path, capsys, argv):
     rc = main(argv + ["--grid", "-1,1,3,-1,1,3", "--format", "csv",
                       "--out", str(tmp_path / "p")])
     assert rc == 0
     assert "singular 0 " in capsys.readouterr().out
+
+
+# a tiny lambda beside others of unit size: the entries stay finite, but
+# Omega_1 is too ill-conditioned for any error bound, so every node is an
+# ILL_CONDITIONED gap, not noise of |q1| up to 1e72
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--lambda", "0.5,1", "--lambda", "-0.7,0.8",
+     "--lambda", "1e-90,0"],
+    ["soliton", "--lambda", "0.5,1", "--lambda", "-0.7,0.8",
+     "--lambda", "0.3,1.2", "--lambda", "1e-75,0"],
+])
+def test_tiny_lambda_beside_unit_lambdas_exits_3(tmp_path, capsys, argv):
+    rc = main(argv + ["--grid", "-1,1,3,-1,1,3", "--format", "csv",
+                      "--out", str(tmp_path / "p")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "grid 3x3 singular 9 " in captured.out
+    assert captured.err == "flwave: every node of soliton is masked\n"
 
 
 def test_unwritable_output_exits_4(capsys):
